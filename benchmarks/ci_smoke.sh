@@ -27,6 +27,14 @@ trap 'rm -rf "$SCRATCH"' EXIT INT TERM
 # handles there).
 python -m repro lint src/repro tests benchmarks
 python -m pytest -x -q
+# The same property suites with the runtime contracts on: the Lemma 1
+# monitor, the Definition 1 mass recount against brute force and the
+# cell-map cross-check against the scalar reference all run in-line.
+# Algorithm 1 and the index build each have one implementation, so these
+# oracles are what pins them.
+REPRO_CHECK=1 python -m pytest -x -q tests/test_core_soi_property.py \
+    tests/test_cold_path_property.py tests/test_state_store.py \
+    tests/test_core_soi_baseline.py
 # The committed baselines are GC-quiesced medians of three, so a
 # single-repeat sample flakes against them on scheduler jitter alone:
 # gate on medians of three as well, at a tolerance sized for the
@@ -44,13 +52,14 @@ python -m repro bench --mode describe --repeats 3 \
     --check-against BENCH_describe.json --tolerance 0.75 \
     --out "$SCRATCH"
 # Cold-path build gate: engine construction, eps-augmentation (fresh /
-# filter / delta), store layout, snapshot export/attach.  Speedup and
-# scalar-ablation keys in the baseline are informational; the comparator
-# gates only the *_median_s leaves.  Unlike the query benches these
-# timings are deliberately UNWARMED one-shots, so run-to-run variance on
-# shared runners is large; the loose tolerance still trips on the
-# regressions that matter (falling back to the scalar builders is a
-# 4-15x slowdown on these phases).
+# filter / delta), store layout, snapshot export/attach.  The comparator
+# gates only the *_median_s leaves (the baseline's older scalar/speedups
+# keys are history and absent from fresh reports).  Unlike the query
+# benches these timings are deliberately UNWARMED one-shots, so
+# run-to-run variance on shared runners is large; the loose tolerance
+# still trips on the regressions that matter (a per-pair Python loop in
+# place of the batched augment kernel was a 4-15x slowdown on these
+# phases).
 python -m repro bench --mode build --repeats 1 \
     --check-against BENCH_build.json --tolerance 1.5 \
     --out "$SCRATCH"

@@ -452,16 +452,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         produced["build"] = report
         written.append(path)
         for name, entry in report["cities"].items():
-            line = (f"{name}: cold start "
-                    f"{entry['cold_start_median_s']*1e3:.1f} ms, "
-                    f"filter augment "
-                    f"{entry['augment_filter_median_s']*1e3:.2f} ms")
-            speedups = entry.get("speedups")
-            if speedups:
-                line += (f" ({speedups['cold_start_speedup']:.1f}x vs "
-                         f"scalar, incremental "
-                         f"{speedups['incremental_augment_speedup']:.1f}x)")
-            print(line)
+            print(f"{name}: cold start "
+                  f"{entry['cold_start_median_s']*1e3:.1f} ms, "
+                  f"filter augment "
+                  f"{entry['augment_filter_median_s']*1e3:.2f} ms")
     elif args.mode == "throughput":
         run = bench.bench_throughput(
             cities, workers=args.workers, concurrency=args.concurrency,

@@ -10,6 +10,7 @@ every selection method reads them repeatedly.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -172,7 +173,14 @@ def build_street_profile(
     keywords of its neighbouring POIs and/or photos"); pass ``pois`` to also
     blend in the keywords of POIs within ``eps``, each contributing
     ``poi_keyword_weight`` per keyword occurrence.
+
+    Raises :class:`~repro.errors.QueryError` for a street id the network
+    does not contain and for a negative or non-finite ``eps``.
     """
+    if street_id not in network.streets:
+        raise QueryError(f"unknown street id {street_id!r}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise QueryError(f"eps must be non-negative and finite, got {eps}")
     positions = photos_near_street(network, street_id, photos, eps)
     street_photos = photos.subset(positions)
     keyword_sets: list[Iterable[str]] = [r.keywords for r in street_photos]

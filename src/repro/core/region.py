@@ -19,11 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.interest import (
-    RelevantCellCache,
-    segment_mass_in_cell,
-    validate_query,
-)
+from repro.core.interest import RelevantCellCache, segment_mass, validate_query
 from repro.core.soi import DEFAULT_EPS, SOIEngine
 from repro.errors import QueryError
 
@@ -65,13 +61,13 @@ class RegionQuery:
         if max_length <= 0:
             raise QueryError(f"max_length must be positive, got {max_length}")
         query = validate_query(keywords, 1, eps)
-        cache = RelevantCellCache(self.engine.poi_index, query)
-        scores: dict[int, float] = {}
-        for segment in self.engine.network.iter_segments():
-            mass = 0.0
-            for cell in self.engine.cell_maps.cells_of_segment(segment.id, eps):
-                mass += segment_mass_in_cell(segment, cell, cache, eps)
-            scores[segment.id] = mass
+        engine = self.engine
+        cache = RelevantCellCache(engine.poi_index, query)
+        scores: dict[int, float] = {
+            segment.id: segment_mass(segment, engine.poi_index,
+                                     engine.cell_maps, query, eps,
+                                     cache=cache)
+            for segment in engine.network.iter_segments()}
 
         seed = self._best_seed(scores, max_length)
         if seed is None:

@@ -1,11 +1,12 @@
-"""Array-native segment state for the SOI filter phase.
+"""Array-native segment state for the SOI filter and refine phases.
 
-The filter loop of Algorithm 1 used to track every *seen* segment in a
-``dict[int, _SegmentState]`` of per-object attributes.  This module holds
-the columnar replacement: a dense segment-id mapping (the same iteration
-order the snapshot schema records) indexes flat columns for partial mass,
-the Definition 2 buffer-area denominator, the visited-cell progress and
-the remaining per-cell upper-bound contribution.
+Algorithm 1 tracks every *seen* segment's partial state.  This module
+holds it as columns: a dense segment-id mapping (the same iteration order
+the snapshot schema records) indexes flat columns for partial mass, the
+Definition 2 buffer-area denominator, the visited-cell progress and the
+remaining per-cell upper-bound contribution.  It is the only segment-state
+representation; correctness is pinned by the full-scan oracles in the
+tests and the ``REPRO_CHECK=1`` contracts, not by a second implementation.
 
 The immutable layout and per-signature columns are NumPy arrays — they
 are *built* vectorised (one ufunc for every buffer area, one ``bincount``
@@ -25,25 +26,24 @@ Layout vs. scratch
 * :class:`SignatureBindings` and :class:`MassSlots` are per keyword
   signature (the latter also per ``weighted``), normally owned by a
   :class:`~repro.perf.session.QuerySession`: the cell upper bounds of
-  Algorithm 1 line 2 projected onto the layout, and the slot-indexed mass
-  memo (the columnar twin of the session's ``(segment_id, cell)`` dict).
+  Algorithm 1 line 2 projected onto the layout, and the slot-indexed
+  ``(segment, cell)`` mass memo.
 * :class:`SegmentStateStore` is mutable per-run scratch, recycled across
   runs through an epoch counter so a warm query allocates nothing.
 
-Every cached float is the bitwise-exact value the scalar path computes,
-and every column update applies the same IEEE operations in the same
-order, so the store-driven run returns bit-identical results.
+Every memoised float is the bitwise-exact value the mass kernel would
+recompute, so serving it cannot change any downstream comparison or bound.
 
-:class:`TopKThreshold` is the incremental LB_k maintenance shared by both
-paths: a bounded min-heap over per-street best values replaces the
-``heapq.nlargest`` full rescan of every termination check.
+:class:`TopKThreshold` is the incremental LB_k maintenance: a bounded
+min-heap over per-street best values replaces the ``heapq.nlargest`` full
+rescan of every termination check.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -90,9 +90,8 @@ class TopKThreshold:
     def update(self, key: int, value: float) -> bool:
         """Record ``value`` for ``key``; True when it improved the best.
 
-        The return value matches the dict-based predicate
-        ``value > best.get(key, 0.0)`` the scalar path used, so callers
-        can keep their dirty-flag behaviour unchanged.
+        The return value is the predicate ``value > best.get(key, 0.0)``,
+        which callers use as their dirty flag.
         """
         best = self._best.get(key, 0.0)
         if value <= best:
@@ -146,8 +145,8 @@ class StoreLayout:
     attached snapshot indexes identically.  A *slot* is one
     ``(segment, cell)`` incidence of the ``eps``-augmented cell maps;
     ``slot_offsets[d]:slot_offsets[d+1]`` spans segment ``d``'s cells in
-    ``cells_of_segment`` order, and ``by_cell`` inverts the CSR into the
-    ``segments_of_cell`` order the scalar path iterates.
+    ``cells_of_segment`` order, and ``by_cell`` inverts the CSR into
+    ``segments_of_cell`` order.
     """
 
     __slots__ = (
@@ -174,7 +173,7 @@ class StoreLayout:
         # Definition 2 denominator column.  Evaluated as
         # (2.0 * eps) * length + (math.pi * eps) * eps — the exact
         # association Python gives buffer_area(), so each element is the
-        # bitwise float the scalar path divides by.
+        # bitwise float segment_interest divides by.
         self.buffer_col = (2.0 * eps) * self.lengths + (math.pi * eps) * eps
         self.dense_index = {seg.id: pos for pos, seg in enumerate(segments)}
         # Python-list mirrors of the read-only columns for the small-group
@@ -187,23 +186,17 @@ class StoreLayout:
         self.lengths_list = self.lengths.tolist()
         self.buffer_list = self.buffer_col.tolist()
 
-        ids_col = getattr(cell_maps, "segment_ids_column", None)
-        if ids_col is not None and np.array_equal(ids_col, self.seg_ids):
-            # The cell maps' CSR rows are already in dense (builder) order;
-            # derive the slot geometry from the flat pair arrays instead of
-            # re-walking Python dicts.
-            offsets, flat_i, flat_j = cell_maps.augmented_csr(eps)
-            self._init_cells_from_csr(cell_maps.grid.ny, offsets,
-                                      flat_i, flat_j)
-        else:
-            self._init_cells_from_walk(segments, cell_maps, eps)
+        # The cell maps' CSR rows are in builder (``iter_segments``)
+        # order, which is this dense order.
+        offsets, flat_i, flat_j = cell_maps.augmented_csr(eps)
+        self._init_cells_from_csr(cell_maps.grid.ny, offsets, flat_i, flat_j)
 
     def _init_cells_from_csr(self, ny: int, offsets: np.ndarray,
                              flat_i: np.ndarray,
                              flat_j: np.ndarray) -> None:
-        """Slot geometry from flat CSR pair columns, bit-identical to the
-        dict walk: cells numbered by first appearance in the slot stream,
-        ``by_cell`` groups ascending in slot (= dense segment) order."""
+        """Slot geometry from flat CSR pair columns: cells numbered by
+        first appearance in the slot stream, ``by_cell`` groups ascending
+        in slot (= dense segment) order."""
         n = self.num_segments
         lin = flat_i * np.int64(ny) + flat_j
         uniq, first_idx, inverse = np.unique(
@@ -241,54 +234,15 @@ class StoreLayout:
                          slots_sorted[bounds[pos]:bounds[pos + 1]])
             for pos in range(num_cells)}
 
-    def _init_cells_from_walk(self, segments: "list[Segment]",
-                              cell_maps: "SegmentCellMaps",
-                              eps: float) -> None:
-        """The original per-segment dict walk (attach-compat fallback)."""
-        n = self.num_segments
-        cell_index: dict["CellCoord", int] = {}
-        cells: list["CellCoord"] = []
-        slot_cell: list[int] = []
-        by_cell_segs: list[list[int]] = []
-        by_cell_slots: list[list[int]] = []
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        for dense, seg in enumerate(segments):
-            for cell in cell_maps.cells_of_segment(seg.id, eps):
-                pos = cell_index.get(cell)
-                if pos is None:
-                    pos = len(cells)
-                    cell_index[cell] = pos
-                    cells.append(cell)
-                    by_cell_segs.append([])
-                    by_cell_slots.append([])
-                by_cell_segs[pos].append(dense)
-                by_cell_slots[pos].append(len(slot_cell))
-                slot_cell.append(pos)
-            offsets[dense + 1] = len(slot_cell)
-        self.num_slots = len(slot_cell)
-        self.num_cells = len(cells)
-        self.cells = cells
-        self.cell_index = cell_index
-        self.slot_offsets = offsets
-        self.slot_cell = np.asarray(slot_cell, dtype=np.int64)
-        self.slot_cells = [cells[pos] for pos in slot_cell]
-        self.cell_counts = np.diff(offsets)
-        self.cell_counts_list = self.cell_counts.tolist()
-        # Per cell: (segments, slots) in segments_of_cell order.
-        self.by_cell = {
-            cells[pos]: (by_cell_segs[pos], by_cell_slots[pos])
-            for pos in range(len(cells))}
-
 
 class SignatureBindings:
     """One keyword signature's cell upper bounds projected onto a layout.
 
     ``cell_ub[c]`` is ``|P_Psi(c)|`` (Algorithm 1, line 2) for the
-    layout's cells (cells the signature never populates stay 0, exactly
-    the ``dict.get(cell, 0)`` the scalar path reads), ``relevant`` its
-    positivity mask, and ``total_ub[d]`` the per-segment sum over
-    ``C_eps(l)`` — the starting value of the incrementally-decremented
-    remaining upper-bound column.
+    layout's cells (cells the signature never populates stay 0),
+    ``relevant`` its positivity mask, and ``total_ub[d]`` the per-segment
+    sum over ``C_eps(l)`` — the starting value of the
+    incrementally-decremented remaining upper-bound column.
     """
 
     __slots__ = ("layout", "cell_ub", "relevant", "slot_relevant",

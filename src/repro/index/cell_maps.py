@@ -14,8 +14,10 @@ rasterised into a candidate cell window with one vectorised floor-divide,
 the windows are packed as a CSR candidate list, and a single
 :func:`~repro.geometry.distance.segments_bbox_mindist_batched` call
 confirms the exact Section 3.2.1 predicate for all pairs at once — bit
-for bit the same accept/reject decisions as the scalar kernel loop, which
-is kept behind ``vectorized=False`` for ablation.
+for bit the same accept/reject decisions as the per-segment scalar
+kernel loop :meth:`SegmentCellMaps._cells_within`.  That loop is the
+reference only: the ``REPRO_CHECK=1`` contract re-derives a sample of
+segments with it, and the property tests compare every segment.
 
 Augmentation is also *incremental* across ``eps`` values: the confirmed
 exact min-distance of every candidate pair is cached up to the largest
@@ -24,7 +26,8 @@ the cached distance column (no geometry at all) and a larger ``eps``
 computes distances only for the candidate-ring delta outside the cached
 windows.  Confirmed maps are cached per ``eps`` value, since an
 interactive system serves many queries with the same threshold; the
-legacy dict views are materialised lazily from the CSR on first access.
+per-segment tuples and the inverse map are materialised lazily from the
+CSR on first access.
 """
 
 from __future__ import annotations
@@ -97,11 +100,9 @@ class _AugmentedEps:
 class SegmentCellMaps:
     """Base and ``eps``-augmented segment/cell adjacency for a network."""
 
-    def __init__(self, network: RoadNetwork, grid: UniformGrid,
-                 vectorized: bool = True) -> None:
+    def __init__(self, network: RoadNetwork, grid: UniformGrid) -> None:
         self.network = network
         self.grid = grid
-        self.vectorized = bool(vectorized)
         self._init_columns(
             [(seg.id, seg.ax, seg.ay, seg.bx, seg.by)
              for seg in network.iter_segments()])
@@ -110,8 +111,8 @@ class SegmentCellMaps:
         self._seg_maps: dict[float, dict[int, tuple[CellCoord, ...]]] = {}
         self._inv_maps: dict[float, dict[CellCoord, tuple[int, ...]]] = {}
         self._count_maps: dict[float, dict[int, int]] = {}
-        # The offline base maps (Section 3.2.1) in CSR form; the legacy
-        # dict views materialise lazily on first access.
+        # The offline base maps (Section 3.2.1) in CSR form; the per-
+        # segment tuples and the inverse map materialise lazily.
         self._augment(0.0)
 
     def _init_columns(
@@ -208,25 +209,20 @@ class SegmentCellMaps:
         got = self._aug_csr.get(eps)
         if got is not None:
             return got
-        if not self.vectorized:
-            mode = "scalar"
-        elif self._cache is None:
+        if self._cache is None:
             mode = "fresh"
         elif eps <= self._cache.eps:
             mode = "filter"
         else:
             mode = "delta"
         with trace_span("index.augment_eps", eps=eps, mode=mode):
-            if mode == "scalar":
-                aug = self._compute_scalar(eps)
-            else:
-                self._ensure_cache(eps, mode)
-                aug = self._filter_cache(eps)
+            self._ensure_cache(eps, mode)
+            aug = self._filter_cache(eps)
         REGISTRY.inc(f"index.augment.build.{mode}")
         REGISTRY.inc("index.augment.confirmed_pairs",
                      int(aug.ii.shape[0]))
         self._aug_csr[eps] = aug
-        if self.vectorized and contracts.ENABLED:
+        if contracts.ENABLED:
             self._check_against_scalar(eps, aug)
         return aug
 
@@ -343,25 +339,7 @@ class SegmentCellMaps:
         return _AugmentedEps(counts_to_offsets(counts), cache.ii[mask],
                              cache.jj[mask], counts.astype(np.int64))
 
-    # -- dict materialisation (legacy views) -----------------------------------
-
-    def _augmented_maps(
-        self, eps: float
-    ) -> tuple[dict[int, tuple[CellCoord, ...]],
-               dict[CellCoord, tuple[int, ...]]]:
-        """The fully-materialised legacy dict pair for one ``eps``."""
-        return self._full_seg_map(eps), self._inverse_map(eps)
-
-    def _full_seg_map(self, eps: float) -> dict[int, tuple[CellCoord, ...]]:
-        aug = self._augment(eps)
-        cache = self._seg_maps.setdefault(eps, {})
-        if len(cache) < self._n:
-            offsets = aug.offsets.tolist()
-            pairs = list(zip(aug.ii.tolist(), aug.jj.tolist()))
-            for pos, sid in enumerate(self._seg_id_list):
-                if sid not in cache:
-                    cache[sid] = tuple(pairs[offsets[pos]:offsets[pos + 1]])
-        return cache
+    # -- inverse map -----------------------------------------------------------
 
     def _inverse_map(self, eps: float) -> dict[CellCoord, tuple[int, ...]]:
         got = self._inv_maps.get(eps)
@@ -392,22 +370,7 @@ class SegmentCellMaps:
             inv[(key // ny, key % ny)] = tuple(sid_rows[rows].tolist())
         return inv
 
-    # -- scalar path (ablation) ------------------------------------------------
-
-    def _compute_scalar(self, eps: float) -> _AugmentedEps:
-        """The pre-vectorisation kernel loop, kept for ablation runs."""
-        counts = np.zeros(self._n, dtype=np.int64)
-        flat_i: list[int] = []
-        flat_j: list[int] = []
-        for pos, seg in enumerate(self.network.iter_segments()):
-            cells = self._cells_within(seg.ax, seg.ay, seg.bx, seg.by, eps)
-            counts[pos] = len(cells)
-            for i, j in cells:
-                flat_i.append(i)
-                flat_j.append(j)
-        return _AugmentedEps(counts_to_offsets(counts),
-                             np.array(flat_i, dtype=np.int64),
-                             np.array(flat_j, dtype=np.int64), counts)
+    # -- scalar reference ------------------------------------------------------
 
     def _cells_within(
         self, ax: float, ay: float, bx: float, by: float, eps: float
@@ -416,7 +379,9 @@ class SegmentCellMaps:
 
         Candidates come from the segment MBR expanded by ``eps`` (any closer
         cell must intersect it); each candidate is confirmed with the exact
-        segment-to-box distance.
+        segment-to-box distance.  Reference only: the production maps come
+        from the batched CSR build, and this per-segment loop re-derives
+        them for the ``REPRO_CHECK=1`` contract and the property tests.
         """
         from repro.geometry.bbox import BBox
 
@@ -424,7 +389,7 @@ class SegmentCellMaps:
         out = []
         for cell in self.grid.cells_in_bbox(probe):
             box = self.grid.cell_bbox(cell)
-            if segment_bbox_mindist(ax, ay, bx, by, box) <= eps:  # repro-lint: disable=REP-P405 (scalar reference kept for ablation and REPRO_CHECK cross-validation)
+            if segment_bbox_mindist(ax, ay, bx, by, box) <= eps:  # repro-lint: disable=REP-P405 (reference for the REPRO_CHECK contract _check_against_scalar, not a build path)
                 out.append(cell)
         return tuple(out)
 

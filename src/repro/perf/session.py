@@ -14,9 +14,13 @@ signature:
   coordinate arrays of each cell's relevant POIs);
 * the per-cell relevant-count aggregate ``|P_Psi(c)|`` (Algorithm 1,
   line 2), which depends only on the keywords — not on ``k``/``eps``;
-* per-``(eps, weighted)`` mass memos keyed ``(segment_id, cell)``.  A
-  cached mass is the bitwise-exact float the kernel would recompute, so
+* per-``(eps, weighted)`` mass memos over the store layout's
+  ``(segment, cell)`` slots (:class:`~repro.core.state_store.MassSlots`).
+  A cached mass is the bitwise-exact float the kernel would recompute, so
   serving it cannot change any downstream comparison or bound.
+
+It also pools the per-signature store bindings and the recycled per-run
+scratch stores of :mod:`repro.core.state_store`.
 
 Sessions live in a :class:`QuerySessionPool` with an LRU bound on retained
 signatures.  The pool must be **explicitly invalidated when the indexes it
@@ -58,7 +62,7 @@ class QuerySession:
     """All cached per-query materialisations for one keyword signature."""
 
     __slots__ = ("signature", "generation", "cache", "_poi_index",
-                 "_cell_ub", "_sl1_entries", "_mass", "queries_served",
+                 "_cell_ub", "_sl1_entries", "queries_served",
                  "_store_lock", "_bindings", "_mass_slots", "_state_stores",
                  "store_reuses")
 
@@ -70,12 +74,10 @@ class QuerySession:
         self.cache = RelevantCellCache(poi_index, signature)
         self._cell_ub: dict["CellCoord", int] | None = None
         self._sl1_entries: tuple[tuple["CellCoord", int], ...] | None = None
-        self._mass: dict[tuple[float, bool],
-                         dict[tuple[int, "CellCoord"], float]] = {}
         self.queries_served = 0
-        # Store-path materialisations: per-eps signature bindings, per
+        # Store materialisations: per-eps signature bindings, per
         # (eps, weighted) slot memos, and the recycled scratch stores.
-        # Unlike the add-only dict caches above, the scratch stores are
+        # Unlike the add-only caches above, the scratch stores are
         # *mutated* per run, so the free-list hands each out exclusively;
         # the lock serialises all three maps.
         self._store_lock = threading.Lock()
@@ -158,23 +160,9 @@ class QuerySession:
         with self._store_lock:
             self._state_stores.setdefault(store.layout.eps, []).append(store)
 
-    def mass_cache(self, eps: float,
-                   weighted: bool) -> dict[tuple[int, "CellCoord"], float]:
-        """The ``(segment_id, cell) -> mass`` memo for one ``(eps, weighted)``."""
-        key = (eps, weighted)
-        memo = self._mass.get(key)
-        if memo is None:
-            memo = {}
-            self._mass[key] = memo
-        return memo
-
-    def cached_masses(self) -> int:
-        """Total memoised ``(segment, cell)`` contributions (for reports)."""
-        return sum(len(memo) for memo in self._mass.values())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"QuerySession(signature={sorted(self.signature)!r}, "
-                f"cells={len(self.cache)}, masses={self.cached_masses()})")
+                f"cells={len(self.cache)})")
 
 
 class QuerySessionPool:

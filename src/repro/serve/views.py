@@ -170,8 +170,8 @@ def attach_cell_maps(
     """Segment/cell adjacency: base CSR plus every warmed ``eps`` CSR.
 
     The stored pair columns become the per-``eps`` CSR caches **zero-copy**
-    (the legacy dict views materialise lazily on first access, in exactly
-    the recorded element order), and the incremental distance cache — if
+    (the per-segment tuples and the inverse map materialise lazily on
+    first access, in exactly the recorded element order), and the incremental distance cache — if
     the exporter carried one — is installed read-only, so attached workers
     never re-run the augmentation geometry for any ``eps`` at or below the
     cached one.  Queries beyond it grow the cache exactly like a fresh
@@ -181,7 +181,6 @@ def attach_cell_maps(
     maps = SegmentCellMaps.__new__(SegmentCellMaps)
     maps.network = network
     maps.grid = grid
-    maps.vectorized = True
     seg_ids = snapshot.array("seg_ids")
     maps._n = int(seg_ids.shape[0])
     maps._seg_ids = seg_ids

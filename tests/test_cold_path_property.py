@@ -3,10 +3,10 @@
 The vectorised index construction must be *bit-identical* to the scalar
 reference, not merely approximately equal: the batched geometry kernels
 against their scalar counterparts, the vectorised + incremental
-``eps``-augmentation against per-``eps`` scalar map construction (both
-sweep directions, so the filter and delta cache modes are both
-exercised), the CSR store-layout pass against the original dict walk,
-and the batched point bucketing against per-point ``cell_of`` loops.
+``eps``-augmentation against the per-segment scalar loop
+``SegmentCellMaps._cells_within`` (both sweep directions, so the filter
+and delta cache modes are both exercised), and the batched point
+bucketing against per-point ``cell_of`` loops.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.state_store import StoreLayout
 from repro.geometry.bbox import BBox
 from repro.geometry.distance import (
     _hypot_exact,
@@ -117,19 +116,27 @@ def test_points_segments_distance_bit_identical(rows):
     assert got.tobytes() == want.tobytes()
 
 
-# -- vectorised + incremental augmentation vs scalar maps ---------------------
+# -- vectorised + incremental augmentation vs the scalar reference -----------
 
-def _assert_maps_equal(vec: SegmentCellMaps, ref: SegmentCellMaps,
-                       eps: float) -> None:
-    """Equal both directions, as sets *and* in scalar iteration order."""
-    vec_seg, vec_inv = vec._augmented_maps(eps)
-    ref_seg, ref_inv = ref._augmented_maps(eps)
-    assert vec_seg == ref_seg
-    assert list(vec_seg) == list(ref_seg)
-    assert vec_inv == ref_inv
-    assert list(vec_inv) == list(ref_inv)
-    assert dict(vec.augmented_cell_counts(eps)) == \
-        dict(ref.augmented_cell_counts(eps))
+def _assert_maps_equal(maps: SegmentCellMaps, eps: float) -> None:
+    """The CSR equals ``_cells_within`` run on every segment, in order,
+    and every view derived from it agrees (per-segment tuples, counts,
+    and the inverse map in first-appearance order)."""
+    offsets, ii, jj = maps.augmented_csr(eps)
+    counts = maps.augmented_cell_counts(eps)
+    inverse: dict[tuple[int, int], list[int]] = {}
+    for pos, seg in enumerate(maps.network.iter_segments()):
+        want = maps._cells_within(seg.ax, seg.ay, seg.bx, seg.by, eps)
+        start, stop = int(offsets[pos]), int(offsets[pos + 1])
+        got = tuple(zip(ii[start:stop].tolist(), jj[start:stop].tolist()))
+        assert got == want
+        assert tuple(maps.cells_of_segment(seg.id, eps)) == want
+        assert counts[seg.id] == len(want)
+        for cell in want:
+            inverse.setdefault(cell, []).append(seg.id)
+    assert list(maps._inverse_map(eps)) == list(inverse)
+    for cell, segment_ids in inverse.items():
+        assert tuple(maps.segments_of_cell(cell, eps)) == tuple(segment_ids)
 
 
 @given(network=random_networks(), ascending=st.booleans())
@@ -138,13 +145,11 @@ def test_incremental_augmentation_matches_scalar_both_orders(
         network, ascending):
     """Ascending sweeps exercise the delta mode (cache growth), descending
     sweeps the filter mode (threshold + window membership) — both must
-    reproduce per-``eps`` scalar construction exactly."""
-    grid = _grid()
-    vec = SegmentCellMaps(network, grid, vectorized=True)
-    ref = SegmentCellMaps(network, grid, vectorized=False)
+    reproduce the per-segment scalar reference exactly."""
+    maps = SegmentCellMaps(network, _grid())
     sequence = EPS_LADDER if ascending else EPS_LADDER[::-1]
     for eps in sequence:
-        _assert_maps_equal(vec, ref, eps)
+        _assert_maps_equal(maps, eps)
 
 
 @given(network=random_networks(),
@@ -153,17 +158,15 @@ def test_incremental_augmentation_matches_scalar_both_orders(
 @settings(max_examples=25)
 def test_revisited_eps_identical_after_cache_growth(network, eps_pair):
     """Re-querying an ``eps`` after the cache grew past it must return the
-    very same CSR object (cached), equal to a fresh scalar build."""
-    grid = _grid()
-    vec = SegmentCellMaps(network, grid, vectorized=True)
+    very same CSR object (cached), equal to the scalar reference."""
+    maps = SegmentCellMaps(network, _grid())
     first, second = eps_pair
-    before = vec.augmented_csr(first)
-    vec.augmented_csr(second)
-    again = vec.augmented_csr(first)
+    before = maps.augmented_csr(first)
+    maps.augmented_csr(second)
+    again = maps.augmented_csr(first)
     assert again[0] is before[0]
-    ref = SegmentCellMaps(network, grid, vectorized=False)
-    _assert_maps_equal(vec, ref, first)
-    _assert_maps_equal(vec, ref, second)
+    _assert_maps_equal(maps, first)
+    _assert_maps_equal(maps, second)
 
 
 @pytest.fixture(scope="module", params=["london", "berlin", "vienna"])
@@ -180,10 +183,10 @@ def preset_geometry(request):
 @pytest.mark.parametrize("check", [False, True], ids=["plain", "contracts"])
 @pytest.mark.parametrize("descending", [False, True], ids=["asc", "desc"])
 def test_fig4_preset_maps_match_scalar(preset_geometry, check, descending):
-    """Figure 4 presets: the vectorised maps must equal scalar construction
-    for ``eps`` sweeps in both directions, plain and with runtime
-    contracts on (``REPRO_CHECK=1`` semantics, which additionally
-    cross-validates every augment pass in-line)."""
+    """Figure 4 presets: the vectorised maps must equal the scalar
+    reference for ``eps`` sweeps in both directions, plain and with
+    runtime contracts on (``REPRO_CHECK=1`` semantics, which additionally
+    cross-validates a sample of every augment pass in-line)."""
     from repro.analysis import contracts
 
     network, grid = preset_geometry
@@ -193,50 +196,11 @@ def test_fig4_preset_maps_match_scalar(preset_geometry, check, descending):
     previous = contracts.ENABLED
     contracts.enable_contracts(check)
     try:
-        vec = SegmentCellMaps(network, grid, vectorized=True)
-        ref = SegmentCellMaps(network, grid, vectorized=False)
+        maps = SegmentCellMaps(network, grid)
         for eps in sequence:
-            _assert_maps_equal(vec, ref, eps)
+            _assert_maps_equal(maps, eps)
     finally:
         contracts.enable_contracts(previous)
-
-
-# -- store layout: CSR fast path vs dict walk ---------------------------------
-
-class _WalkOnly:
-    """Proxy hiding ``segment_ids_column`` so StoreLayout falls back to
-    the original per-segment dict walk."""
-
-    def __init__(self, maps: SegmentCellMaps) -> None:
-        self._maps = maps
-
-    def __getattr__(self, name: str):
-        if name == "segment_ids_column":
-            raise AttributeError(name)
-        return getattr(self._maps, name)
-
-
-@given(network=random_networks(),
-       eps=st.sampled_from(EPS_LADDER))
-@settings(max_examples=25)
-def test_store_layout_csr_matches_dict_walk(network, eps):
-    grid = _grid()
-    maps = SegmentCellMaps(network, grid)
-    fast = StoreLayout(network, maps, eps)
-    walk = StoreLayout(network, _WalkOnly(maps), eps)
-    assert fast.num_slots == walk.num_slots
-    assert fast.num_cells == walk.num_cells
-    assert fast.cells == walk.cells
-    assert fast.cell_index == walk.cell_index
-    assert fast.slot_offsets.tolist() == walk.slot_offsets.tolist()
-    assert fast.slot_cell.tolist() == walk.slot_cell.tolist()
-    assert fast.slot_cells == walk.slot_cells
-    assert fast.cell_counts.tolist() == walk.cell_counts.tolist()
-    assert fast.cell_counts_list == walk.cell_counts_list
-    assert fast.by_cell == walk.by_cell
-    for segs, slots in fast.by_cell.values():
-        assert all(type(d) is int for d in segs)
-        assert all(type(s) is int for s in slots)
 
 
 # -- batched bucketing vs scalar cell assignment ------------------------------

@@ -6,6 +6,9 @@ on empty-but-valid input; these tests pin both down for every layer.
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import pytest
 
 from repro import (
@@ -22,6 +25,7 @@ from repro import (
 from repro.core.soi_baseline import BaselineSOI
 from repro.data.keywords import KeywordFrequencyVector
 from repro.geometry.bbox import BBox
+from repro.serve.server import DescribeRequest, SOIRequest, serve_request
 
 
 class TestEmptyData:
@@ -70,6 +74,35 @@ class TestParameterAbuse:
                     dict(keywords=["shop"], k=1, eps=0.0)):
             with pytest.raises(QueryError):
                 engine.top_k(**bad)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected_before_any_kernel(self, small_city,
+                                                       small_engine, eps):
+        """Non-finite eps is a QueryError at the boundary: no NumPy
+        warning from the grid, no raw IndexError, no silent ``[]``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QueryError, match="eps"):
+                small_engine.top_k(["shop"], k=3, eps=eps)
+            with pytest.raises(QueryError, match="eps"):
+                serve_request(small_engine, small_city.photos,
+                              SOIRequest(("shop",), 3, eps=eps))
+
+    @pytest.mark.parametrize("street_id", [-1, 10**9])
+    def test_describe_unknown_street_names_the_id(self, small_city,
+                                                  small_engine, street_id):
+        with pytest.raises(QueryError, match=f"street id {street_id}"):
+            serve_request(small_engine, small_city.photos,
+                          DescribeRequest(street_id, 3))
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -0.5])
+    def test_describe_bad_eps_rejected(self, small_city, small_engine, eps):
+        street_id = small_engine.top_k(["shop"], k=1)[0].street_id
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QueryError, match="eps"):
+                serve_request(small_engine, small_city.photos,
+                              DescribeRequest(street_id, 3, eps=eps))
 
     def test_describer_rejects_bad_parameters(self, cross_network):
         main = cross_network.street_by_name("Main Street")

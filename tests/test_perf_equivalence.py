@@ -20,7 +20,8 @@ from repro.core.describe.profile import StreetProfile
 from repro.core.describe.st_rel_div import STRelDivDescriber
 from repro.core.interest import (
     RelevantCellCache,
-    segment_mass_batched,
+    segment_mass,
+    segment_mass_batched_slots,
     segment_mass_in_cell,
 )
 from repro.core.soi import SOIEngine
@@ -70,29 +71,37 @@ def test_batched_mass_equals_per_cell_sum(network, pois, keywords):
                                      weighted)
                 for cell in cells)
             batch_cache = RelevantCellCache(engine.poi_index, query)
-            batched = segment_mass_batched(segment, cells, batch_cache,
-                                           EPS, weighted)
+            batched = segment_mass(segment, engine.poi_index,
+                                   engine.cell_maps, query, EPS, weighted,
+                                   cache=batch_cache)
             assert batched == per_cell
 
 
 @given(network=random_networks(), pois=random_pois(min_size=1),
        keywords=queries)
 def test_batched_mass_cache_stores_exact_values(network, pois, keywords):
-    """Every memoised (segment, cell) mass equals a fresh per-cell value."""
+    """Every memoised (segment, cell) slot mass equals a fresh per-cell
+    value, and a rerun over the filled slots returns the same total."""
     engine = SOIEngine(network, pois)
     query = frozenset(keywords)
     cache = RelevantCellCache(engine.poi_index, query)
-    mass_cache: dict = {}
-    segments = list(network.iter_segments())[:4]
-    for segment in segments:
-        cells = engine.cell_maps.cells_of_segment(segment.id, EPS)
-        segment_mass_batched(segment, cells, cache, EPS,
-                             mass_cache=mass_cache)
     fresh_cache = RelevantCellCache(engine.poi_index, query)
-    for (segment_id, cell), value in mass_cache.items():
-        segment = network.segment(segment_id)
-        assert value == segment_mass_in_cell(segment, cell, fresh_cache,
-                                             EPS, False)
+    layout = engine.store_layout(EPS)
+    slot_mass = [0.0] * layout.num_slots
+    slot_known = [False] * layout.num_slots
+    for dense, segment in enumerate(layout.segments[:4]):
+        slots = range(int(layout.slot_offsets[dense]),
+                      int(layout.slot_offsets[dense + 1]))
+        cells = [layout.slot_cells[slot] for slot in slots]
+        total = segment_mass_batched_slots(
+            segment, cells, slots, slot_mass, slot_known, cache, EPS)
+        for slot, cell in zip(slots, cells):
+            assert slot_known[slot]
+            assert slot_mass[slot] == segment_mass_in_cell(
+                segment, cell, fresh_cache, EPS, False)
+        assert segment_mass_batched_slots(
+            segment, cells, slots, slot_mass, slot_known, cache,
+            EPS) == total
 
 
 # -- session-served SOI ------------------------------------------------------

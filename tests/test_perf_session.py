@@ -25,16 +25,12 @@ class TestQuerySession:
 
     def test_mass_cache_keyed_by_eps_and_weighted(self, engine):
         session = engine.session_for(["shop"])
-        memo = session.mass_cache(0.0005, False)
-        assert session.mass_cache(0.0005, False) is memo
-        assert session.mass_cache(0.0005, True) is not memo
-        assert session.mass_cache(0.001, False) is not memo
-
-    def test_cached_masses_counts_all_memos(self, engine):
-        session = engine.session_for(["shop"])
-        session.mass_cache(0.0005, False)[(1, (0, 0))] = 1.0
-        session.mass_cache(0.001, False)[(1, (0, 0))] = 2.0
-        assert session.cached_masses() == 2
+        layout = engine.store_layout(0.0005)
+        memo = session.store_mass_slots(layout, False)
+        assert session.store_mass_slots(layout, False) is memo
+        assert session.store_mass_slots(layout, True) is not memo
+        assert session.store_mass_slots(engine.store_layout(0.001),
+                                        False) is not memo
 
 
 class TestQuerySessionPool:

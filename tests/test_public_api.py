@@ -24,9 +24,13 @@ class TestSurface:
         assert issubclass(repro.ContractViolation, repro.ReproError)
 
     def test_deprecated_index_error_alias(self):
-        # IndexError_ was renamed to GridIndexError; the alias must stay
-        # importable and identical so existing except clauses keep working.
-        assert repro.IndexError_ is repro.GridIndexError
+        # IndexError_ was renamed to GridIndexError and the alias removed;
+        # lint rule REP-H304 still flags any reintroduction.
+        import repro.errors
+
+        assert not hasattr(repro, "IndexError_")
+        assert not hasattr(repro.errors, "IndexError_")
+        assert "IndexError_" not in repro.__all__
 
 
 class TestQuickstartFlow:

@@ -41,6 +41,11 @@ def traced_serve(tmp_path_factory):
     assert any(not isinstance(r, SOIRequest) for r in requests)
     trace_path = tmp_path_factory.mktemp("trace") / "serve.trace.json"
     with EngineServer.for_engine(engine, city.photos, workers=2) as server:
+        # Spawning a worker takes about as long as one worker needs for the
+        # whole workload, so without this wait a worker may still be
+        # "starting" when the telemetry frame below is taken.
+        wait_for(lambda: all(worker["state"] != "starting"
+                             for worker in server.worker_health()))
         with tracing_scope(True):
             payloads, service_s = server.run_with_stats(requests)
         assert not tracing_enabled()  # the scope does not leak

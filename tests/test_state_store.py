@@ -1,15 +1,11 @@
 """The flat segment-state store and the incremental top-k threshold.
 
-Two contracts are exercised here, both bitwise:
-
-* :class:`~repro.core.state_store.TopKThreshold` must return exactly the
-  float ``heapq.nlargest(k, values)[-1]`` would, after any interleaving
-  of per-key updates (values per key only ever improve — the SOI lower
-  bounds are monotone).
-* The store-backed filter phase (``use_store=True``, the default) must
-  match the scalar dict-state path result-for-result *and*
-  counter-for-counter: the store is a data-layout change, not an
-  algorithmic one.
+:class:`~repro.core.state_store.TopKThreshold` must return exactly the
+float ``heapq.nlargest(k, values)[-1]`` would, after any interleaving of
+per-key updates (values per key only ever improve — the SOI lower bounds
+are monotone).  The store's pooled reuse and the filter's work budgets
+are checked too; the answers themselves are pinned against brute force
+in ``test_core_soi_property`` and ``test_core_soi_baseline``.
 
 The whole module runs twice — plain and with the runtime invariant
 contracts enabled (``REPRO_CHECK=1`` semantics) — via the autouse
@@ -24,8 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import contracts
-from repro.core.soi import AccessStrategy, SOIEngine
-from repro.core.soi_baseline import BaselineSOI
+from repro.core.soi import SOIEngine
 from repro.core.state_store import TopKThreshold
 
 from tests.conftest import KEYWORD_POOL, random_networks, random_pois
@@ -115,71 +110,6 @@ def test_topk_threshold_compaction_stays_exact():
     assert len(topk._heap) <= 4 * k + 64  # the compaction bound held
 
 
-# -- store path == scalar path ----------------------------------------------
-
-@given(network=random_networks(), pois=random_pois(min_size=1),
-       keywords=queries, k=st.integers(min_value=1, max_value=5),
-       weighted=st.booleans())
-@settings(max_examples=40)
-def test_store_results_and_counters_match_scalar(network, pois, keywords,
-                                                 k, weighted):
-    """Sessionless: store and scalar paths agree on results AND counters."""
-    scalar_engine = SOIEngine(network, pois)
-    store_engine = SOIEngine(network, pois)
-    scalar, scalar_stats = scalar_engine.top_k_with_stats(
-        keywords, k=k, eps=EPS, weighted=weighted,
-        use_session=False, use_store=False)
-    store, store_stats = store_engine.top_k_with_stats(
-        keywords, k=k, eps=EPS, weighted=weighted,
-        use_session=False, use_store=True)
-    assert store == scalar
-    assert store_stats.counters() == scalar_stats.counters()
-
-
-@given(network=random_networks(), pois=random_pois(min_size=1),
-       keywords=queries)
-@settings(max_examples=25)
-def test_store_session_sweep_matches_scalar_sessions(network, pois,
-                                                     keywords):
-    """Warm-session k-sweeps: separate engines so each path owns its
-    session state; counters must then be identical query-for-query."""
-    scalar_engine = SOIEngine(network, pois)
-    store_engine = SOIEngine(network, pois)
-    for strategy in AccessStrategy:
-        for k in (1, 3, 5):
-            scalar, scalar_stats = scalar_engine.top_k_with_stats(
-                keywords, k=k, eps=EPS, strategy=strategy, use_store=False)
-            store, store_stats = store_engine.top_k_with_stats(
-                keywords, k=k, eps=EPS, strategy=strategy, use_store=True)
-            assert store == scalar
-            scalar_counters = scalar_stats.counters()
-            store_counters = store_stats.counters()
-            # ``store_reused`` is the one path-specific counter: warm
-            # store queries recycle pooled columns, the scalar path has
-            # no store to recycle.  Everything else must match.
-            scalar_counters.pop("store_reused", None)
-            store_counters.pop("store_reused", None)
-            assert store_counters == scalar_counters, (strategy, k)
-
-
-@given(network=random_networks(), pois=random_pois(min_size=1),
-       keywords=queries)
-@settings(max_examples=25)
-def test_baseline_store_matches_dict_memo(network, pois, keywords):
-    """BL's slot-column scan == its dict-memo scan, cold and warm."""
-    dict_engine = SOIEngine(network, pois)
-    store_engine = SOIEngine(network, pois)
-    expected = BaselineSOI(dict_engine).all_segment_interests(
-        keywords, eps=EPS, use_store=False)
-    baseline = BaselineSOI(store_engine)
-    assert baseline.all_segment_interests(
-        keywords, eps=EPS, use_store=True) == expected
-    # Warm rerun: every slot is memoised, the fast path must not reorder
-    # the accumulation.
-    assert baseline.all_segment_interests(
-        keywords, eps=EPS, use_store=True) == expected
-
-
 # -- session-pooled store reuse ----------------------------------------------
 
 def test_warm_session_reuses_state_store(small_engine):
@@ -191,15 +121,6 @@ def test_warm_session_reuses_state_store(small_engine):
     assert warm.store_reused
     session = engine.sessions.get(frozenset({"food"}))
     assert session is not None and session.store_reuses >= 1
-
-
-def test_scalar_path_never_marks_store_reuse(small_engine):
-    engine = small_engine
-    engine.invalidate_sessions()
-    for _ in range(2):
-        _res, stats = engine.top_k_with_stats(["food"], k=5, eps=EPS,
-                                              use_store=False)
-        assert not stats.store_reused
 
 
 # -- counter budgets ---------------------------------------------------------
