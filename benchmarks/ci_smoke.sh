@@ -28,13 +28,15 @@ trap 'rm -rf "$SCRATCH"' EXIT INT TERM
 python -m repro lint src/repro tests benchmarks
 python -m pytest -x -q
 # The same property suites with the runtime contracts on: the Lemma 1
-# monitor, the Definition 1 mass recount against brute force and the
-# cell-map cross-check against the scalar reference all run in-line.
+# monitor, the block-boundary bound checks, the Definition 1 mass recount
+# against brute force and the cell-map cross-check against the scalar
+# reference all run in-line.
 # Algorithm 1 and the index build each have one implementation, so these
 # oracles are what pins them.
 REPRO_CHECK=1 python -m pytest -x -q tests/test_core_soi_property.py \
     tests/test_cold_path_property.py tests/test_state_store.py \
-    tests/test_core_soi_baseline.py
+    tests/test_core_soi_baseline.py tests/test_core_soi_bounds.py \
+    tests/test_core_soi_blocks.py
 # The committed baselines are GC-quiesced medians of three, so a
 # single-repeat sample flakes against them on scheduler jitter alone:
 # gate on medians of three as well, at a tolerance sized for the

@@ -531,8 +531,12 @@ def _check_against_baseline(args: argparse.Namespace,
             print(f"error: baseline {args.check_against} has no runs")
             return 2
         baseline = runs[-1]
-    regressions = bench.compare_reports(current, baseline,
-                                        tolerance=args.tolerance)
+    try:
+        regressions = bench.compare_reports(current, baseline,
+                                            tolerance=args.tolerance)
+    except ValueError as exc:
+        print(f"error: {args.check_against}: {exc}")
+        return 2
     if not regressions:
         print(f"check-against {args.check_against}: OK "
               f"(tolerance {args.tolerance:.0%})")

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.core.describe.measures import MMREvaluator
 from repro.core.describe.profile import StreetProfile
 from repro.core.describe.stats import DescribeStats
-from repro.errors import QueryError
+from repro.errors import QueryError, check_count
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import perf_now, trace_span
 
@@ -78,8 +78,7 @@ class GreedyDescriber:
 
 
 def _validate(k: int, lam: float, w: float) -> None:
-    if k < 1:
-        raise QueryError(f"summary size k must be at least 1, got {k}")
+    check_count("summary size k", k)
     if not 0.0 <= lam <= 1.0:
         raise QueryError(f"lambda must be in [0, 1], got {lam}")
     if not 0.0 <= w <= 1.0:

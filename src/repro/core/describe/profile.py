@@ -58,8 +58,8 @@ class StreetProfile:
         street_id: int = -1,
         street_name: str = "",
     ) -> None:
-        if rho <= 0:
-            raise QueryError(f"rho must be positive, got {rho}")
+        if not (math.isfinite(rho) and rho > 0):
+            raise QueryError(f"rho must be positive and finite, got {rho}")
         if max_d <= 0:
             raise QueryError(f"max_d must be positive, got {max_d}")
         self.photos = photos

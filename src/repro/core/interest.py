@@ -10,28 +10,29 @@
   street's segments.
 
 Two implementations of mass are provided: an indexed one driven by the
-``eps``-augmented cell maps (the production path shared by the SOI
-algorithm, the BL baseline and the region search), whose per-segment
-batch kernel is :func:`segment_mass_batched_slots`, and a brute-force scan
+``eps``-augmented cell maps, whose one kernel is :func:`slot_masses`
+(shared by the SOI algorithm, the BL baseline, the region search and
+:func:`segment_mass`), and a brute-force scan
 (:func:`segment_mass_bruteforce`) that the tests and the ``REPRO_CHECK=1``
-contracts use as the ground truth.
+contracts use as the ground truth.  Both decide ``dist(p, l) <= eps`` with
+the same exactly rounded distance
+(:func:`~repro.geometry.distance.point_segment_distance` and its row-wise
+transcription), so they agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.analysis import contracts
-from repro.obs import tracer as obs_tracer
-from repro.obs.tracer import trace_span
 from repro.data.poi import POISet
-from repro.errors import QueryError
+from repro.errors import QueryError, check_count
 from repro.geometry.distance import (
+    _points_segments_distance,
     point_segment_distance,
-    points_segment_distance,
 )
 from repro.index.cell_maps import SegmentCellMaps
 from repro.index.poi_grid import POIGridIndex
@@ -51,30 +52,31 @@ def validate_query(keywords: Iterable[str], k: int, eps: float) -> frozenset[str
     """Common parameter validation for k-SOI queries.
 
     Returns the normalised keyword set.  Raises
-    :class:`~repro.errors.QueryError` for ``k < 1``, an ``eps`` that is
-    not a positive finite number, or an empty keyword set.
+    :class:`~repro.errors.QueryError` for a ``k`` that is not an integer
+    of at least 1, an ``eps`` that is not a positive finite number, or an
+    empty keyword set.
     """
     from repro.data.keywords import normalize_keywords
 
     query = normalize_keywords(keywords)
     if not query:
         raise QueryError("k-SOI query requires at least one keyword")
-    if k < 1:
-        raise QueryError(f"k must be at least 1, got {k}")
+    check_count("k", k)
     if not (math.isfinite(eps) and eps > 0):
         raise QueryError(f"eps must be positive and finite, got {eps}")
     return query
 
 
 class RelevantCellCache:
-    """Per-query cache of the relevant POIs of each visited cell.
+    """Per-signature cache of the relevant POIs of single cells.
 
-    Several segments share each cell, and the SOI algorithm may visit a
-    cell once per nearby segment; materialising the relevant positions and
-    their coordinates once per cell turns every subsequent visit into a
-    pair of NumPy gathers.  ``hits``/``misses`` count lookups for the
-    instrumentation layer (a *miss* is a first visit that materialises the
-    entry).
+    :func:`segment_mass` gathers a segment's cells through it, so repeated
+    single-segment evaluations (the contracts' recount,
+    :meth:`~repro.core.soi.SOIEngine.segment_exact_interest`) materialise
+    each cell once.  The SOI engine and the baseline read the whole
+    signature at once from
+    :class:`~repro.core.state_store.SignatureBindings` instead.
+    ``hits``/``misses`` count lookups (a *miss* materialises the entry).
     """
 
     _EMPTY = (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0),
@@ -94,11 +96,7 @@ class RelevantCellCache:
         entry = self._cache.get(cell)
         if entry is None:
             self.misses += 1
-            if obs_tracer.ENABLED:
-                with trace_span("soi.cell_gather"):
-                    entry = self._materialise(cell)
-            else:
-                entry = self._materialise(cell)
+            entry = self._materialise(cell)
             self._cache[cell] = entry
         else:
             self.hits += 1
@@ -127,177 +125,56 @@ class RelevantCellCache:
         return len(self._cache)
 
 
-_SCALAR_CELL_MAX = 4
-"""Cells with at most this many relevant POIs take the scalar fast path
-(NumPy dispatch overhead dominates tiny cells).  The batched kernel keeps
-the same split so batched and per-cell evaluation stay bit-identical."""
+def slot_masses(
+    px: np.ndarray, py: np.ndarray, weights: np.ndarray,
+    row_slot: np.ndarray, num_slots: int,
+    ax: np.ndarray | float, ay: np.ndarray | float,
+    bx: np.ndarray | float, by: np.ndarray | float,
+    eps: float, weighted: bool,
+) -> np.ndarray:
+    """Definition 1 contributions of ``(POI, segment)`` rows, per slot.
 
-
-def _cell_mass_scalar(
-    xs: np.ndarray, ys: np.ndarray, weights: np.ndarray,
-    segment: Segment, eps: float, weighted: bool,
-) -> float:
-    """Scalar-path mass of one tiny cell (shared by both evaluation modes)."""
-    total = 0.0
-    for i in range(len(xs)):
-        d = point_segment_distance(float(xs[i]), float(ys[i]),
-                                   segment.ax, segment.ay,
-                                   segment.bx, segment.by)
-        if d <= eps:
-            total += float(weights[i]) if weighted else 1.0
-    return total
-
-
-def segment_mass_in_cell(
-    segment: Segment,
-    cell: tuple[int, int],
-    cache: RelevantCellCache,
-    eps: float,
-    weighted: bool = False,
-    stats=None,
-) -> float:
-    """Mass contribution of one cell to a segment.
-
-    Exact: every relevant POI of the cell is tested against the segment
-    with the vectorised distance kernel.  Because each POI lives in exactly
-    one grid cell, summing this over ``C_eps(l)`` gives the exact mass.
-
-    ``stats`` (a :class:`~repro.core.results.SOIStats`, or anything with
-    the same counter attributes) receives kernel counters.
+    Row ``r`` pairs the POI at ``(px[r], py[r])`` with the segment
+    ``a -> b`` of its slot ``row_slot[r]`` (segment columns may be
+    per-row arrays or scalars).  One call of the row-wise distance kernel
+    :func:`~repro.geometry.distance._points_segments_distance` — which is
+    :func:`~repro.geometry.distance.point_segment_distance` operation for
+    operation, exact hypot included — decides every ``dist(p, l) <= eps``,
+    and a ``bincount`` sums each slot's matches in row order.  So a slot's
+    mass is the left-to-right sum of its matching weights (or the count
+    of its matches) in row order, however the rows of one call are
+    batched together.
     """
-    positions, xs, ys, weights = cache.get(cell)
-    n = len(positions)
-    if n == 0:
-        return 0.0
-    if n <= _SCALAR_CELL_MAX:
-        if stats is not None:
-            stats.scalar_point_evals += n
-        return _cell_mass_scalar(xs, ys, weights, segment, eps, weighted)
-    if stats is not None:
-        stats.kernel_calls += 1
-    dists = points_segment_distance(xs, ys, segment.ax, segment.ay,
-                                    segment.bx, segment.by)
+    dists = _points_segments_distance(px, py, ax, ay, bx, by)
     within = dists <= eps
-    if weighted:
-        return float(weights[within].sum())
-    return float(np.count_nonzero(within))
+    values = (np.where(within, weights, 0.0) if weighted
+              else within.astype(np.float64))
+    return np.bincount(row_slot, weights=values, minlength=num_slots)
 
 
-def segment_mass_batched_slots(
-    segment: Segment,
-    cells: Sequence[tuple[int, int]],
-    slots: Sequence[int],
-    slot_mass: list[float],
-    slot_known: list[bool],
-    cache: RelevantCellCache,
-    eps: float,
-    weighted: bool = False,
-    stats=None,
-    count_memo: bool = True,
-) -> float:
-    """Mass of a segment over several cells with one vectorised kernel call.
+def ordered_row_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Left-to-right sums of consecutive rows of ``values``.
 
-    Concatenates the ``(xs, ys, weights)`` arrays of every non-tiny cell
-    and evaluates :func:`points_segment_distance` **once** for the whole
-    batch, instead of once per ``(segment, cell)`` pair.  Per-cell
-    contributions are then recovered from slices of the batch, so the
-    result — and every memoised value — is bit-identical to summing
-    :func:`segment_mass_in_cell` over the same cells in the same order:
-    tiny cells (``<= _SCALAR_CELL_MAX`` POIs) keep the scalar fast path,
-    larger cells see exactly the same element-wise arithmetic whether
-    their arrays are evaluated alone or inside a batch.
-
-    ``slots[i]`` is the memo slot of ``(segment, cells[i])`` in the
-    ``slot_mass``/``slot_known`` columns (normally a
-    :class:`~repro.core.state_store.MassSlots`); known slots are served
-    from the memo, fresh ones are stored into it.  ``count_memo=False``
-    leaves memo misses uncounted (ephemeral per-run slots).
+    Row ``r`` holds the next ``counts[r]`` entries.  Each sum is
+    accumulated in entry order starting from ``0.0`` — exactly
+    ``total = 0.0; for v in row: total += v`` — so a segment's mass is the
+    same float whichever phase or access order produced its slot
+    contributions.  The rows are laid out as the columns of a zero-padded
+    matrix and added one entry position at a time (trailing ``+ 0.0``
+    steps leave a sum unchanged).
     """
-    if obs_tracer.ENABLED:
-        with trace_span("soi.mass_kernel"):
-            return _segment_mass_batched_slots_impl(
-                segment, cells, slots, slot_mass, slot_known, cache, eps,
-                weighted, stats, count_memo)
-    return _segment_mass_batched_slots_impl(
-        segment, cells, slots, slot_mass, slot_known, cache, eps,
-        weighted, stats, count_memo)
-
-
-def _segment_mass_batched_slots_impl(
-    segment: Segment,
-    cells: Sequence[tuple[int, int]],
-    slots: Sequence[int],
-    slot_mass: list[float],
-    slot_known: list[bool],
-    cache: RelevantCellCache,
-    eps: float,
-    weighted: bool,
-    stats=None,
-    count_memo: bool = True,
-) -> float:
-    contributions: list[float] = []
-    # (contribution slot, memo slot, batch start, batch stop) per batched cell.
-    pending: list[tuple[int, int, int, int]] = []
-    batch_xs: list[np.ndarray] = []
-    batch_ys: list[np.ndarray] = []
-    batch_weights: list[np.ndarray] = []
-    offset = 0
-    cached_hits = 0
-    fresh = 0
-    for cell, slot in zip(cells, slots):
-        if slot_known[slot]:
-            cached_hits += 1
-            contributions.append(float(slot_mass[slot]))
-            continue
-        positions, xs, ys, weights = cache.get(cell)
-        n = len(positions)
-        if n > _SCALAR_CELL_MAX:
-            pending.append((len(contributions), slot, offset, offset + n))
-            batch_xs.append(xs)
-            batch_ys.append(ys)
-            batch_weights.append(weights)
-            offset += n
-            contributions.append(0.0)  # patched after the kernel call
-            fresh += 1
-            continue
-        if n == 0:
-            value = 0.0
-        else:
-            if stats is not None:
-                stats.scalar_point_evals += n
-            value = _cell_mass_scalar(xs, ys, weights, segment, eps, weighted)
-        contributions.append(value)
-        fresh += 1
-        slot_mass[slot] = value
-        slot_known[slot] = True
-    if pending:
-        if stats is not None:
-            stats.kernel_calls += 1
-        xs_all = np.concatenate(batch_xs)
-        ys_all = np.concatenate(batch_ys)
-        dists = points_segment_distance(xs_all, ys_all,
-                                        segment.ax, segment.ay,
-                                        segment.bx, segment.by)
-        within = dists <= eps
-        weights_all = np.concatenate(batch_weights) if weighted else None
-        for pos, slot, start, stop in pending:
-            if weighted:
-                value = float(weights_all[start:stop]
-                              [within[start:stop]].sum())
-            else:
-                value = float(np.count_nonzero(within[start:stop]))
-            contributions[pos] = value
-            slot_mass[slot] = value
-            slot_known[slot] = True
-    if stats is not None:
-        stats.mass_cache_hits += cached_hits
-        if count_memo:
-            stats.mass_cache_misses += fresh
-    # Accumulate in cell order, matching the per-cell evaluation exactly.
-    total = 0.0
-    for value in contributions:
-        total += value
-    return total
+    n = counts.shape[0]
+    if n == 0 or values.shape[0] == 0:
+        return np.zeros(n, dtype=np.float64)
+    rows = np.repeat(np.arange(n), counts)
+    starts = np.cumsum(counts) - counts
+    columns = np.arange(values.shape[0]) - starts[rows]
+    padded = np.zeros((int(counts.max()), n), dtype=np.float64)
+    padded[columns, rows] = values
+    totals = np.zeros(n, dtype=np.float64)
+    for entry in padded:
+        totals += entry
+    return totals
 
 
 def segment_mass(
@@ -312,18 +189,32 @@ def segment_mass(
 ) -> float:
     """Definition 1: relevant POIs within ``eps`` of the segment.
 
-    Aggregates the ``eps``-augmented cells ``C_eps(l)`` through the
-    batched kernel (one vectorised distance evaluation per segment) with
-    throwaway memo slots, which is bit-identical to summing per-cell
-    contributions.
+    Gathers the relevant POIs of the ``eps``-augmented cells ``C_eps(l)``
+    and runs :func:`slot_masses` once with one slot per cell, then sums
+    the per-cell masses in cell order — the same float the SOI engine
+    and the BL baseline accumulate from their slot memo.
     """
     if cache is None:
         cache = RelevantCellCache(poi_index, keywords)
     cells = cell_maps.cells_of_segment(segment.id, eps)
-    n = len(cells)
-    return segment_mass_batched_slots(
-        segment, cells, range(n), [0.0] * n, [False] * n, cache, eps,
-        weighted, stats=stats, count_memo=False)
+    entries = [cache.get(cell) for cell in cells]
+    counts = np.fromiter((len(entry[0]) for entry in entries),
+                         dtype=np.int64, count=len(entries))
+    if not counts.any():
+        return 0.0
+    if stats is not None:
+        stats.kernel_calls += 1
+        stats.point_evals += int(counts.sum())
+    per_cell = slot_masses(
+        np.concatenate([entry[1] for entry in entries]),
+        np.concatenate([entry[2] for entry in entries]),
+        np.concatenate([entry[3] for entry in entries]),
+        np.repeat(np.arange(len(cells)), counts), len(cells),
+        segment.ax, segment.ay, segment.bx, segment.by, eps, weighted)
+    total = 0.0
+    for value in per_cell.tolist():
+        total += value
+    return total
 
 
 def segment_mass_bruteforce(
@@ -338,10 +229,9 @@ def segment_mass_bruteforce(
     for poi in pois:
         if not poi.matches(keywords):
             continue
-        dists = points_segment_distance(
-            np.array([poi.x]), np.array([poi.y]),
-            segment.ax, segment.ay, segment.bx, segment.by)
-        if dists[0] <= eps:
+        if point_segment_distance(  # repro-lint: disable=REP-P405 (brute-force reference of Definition 1)
+                poi.x, poi.y, segment.ax, segment.ay,
+                segment.bx, segment.by) <= eps:
             total += poi.weight if weighted else 1.0
     return total
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.interest import RelevantCellCache, segment_mass, validate_query
 from repro.core.soi import DEFAULT_EPS, SOIEngine
+from repro.core.soi_baseline import BaselineSOI
 from repro.errors import QueryError
 
 
@@ -60,14 +60,7 @@ class RegionQuery:
         """
         if max_length <= 0:
             raise QueryError(f"max_length must be positive, got {max_length}")
-        query = validate_query(keywords, 1, eps)
-        engine = self.engine
-        cache = RelevantCellCache(engine.poi_index, query)
-        scores: dict[int, float] = {
-            segment.id: segment_mass(segment, engine.poi_index,
-                                     engine.cell_maps, query, eps,
-                                     cache=cache)
-            for segment in engine.network.iter_segments()}
+        scores = BaselineSOI(self.engine).segment_masses(keywords, eps)
 
         seed = self._best_seed(scores, max_length)
         if seed is None:

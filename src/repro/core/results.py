@@ -47,21 +47,25 @@ class SOIStats:
     bars into: ``"build"`` (source-list construction), ``"filter"`` and
     ``"refine"``.
 
+    The filter pulls the source lists in blocks: ``iterations`` counts
+    pulls (cells plus segments popped), ``termination_checks`` the
+    LBk >= UB evaluations (one per block, plus the one that stops), and
+    ``lbk_heap_updates`` the street lower bounds a block raised.
+
     The kernel and cache counters instrument the performance layer:
-    ``kernel_calls`` counts invocations of the vectorised
-    :func:`~repro.geometry.distance.points_segment_distance` kernel
-    (``refine_kernel_calls`` is the refinement-phase share — at most one
-    per refined segment on the batched path), ``scalar_point_evals``
-    counts points evaluated through the tiny-cell scalar fast path, and
-    the ``*_cache_*`` counters record :class:`RelevantCellCache` and
-    per-``(segment, cell)`` mass-cache traffic.  ``session_reused`` is
-    true when the run was served from a warm
-    :class:`~repro.perf.session.QuerySession`; ``store_reused`` when the
-    run recycled a session-pooled
+    ``kernel_calls`` counts calls of the slot-mass kernel
+    :func:`~repro.core.interest.slot_masses` (one per filter block or
+    refine chunk with fresh slots; ``refine_kernel_calls`` is the
+    refinement-phase share) and ``point_evals`` the POI-slot rows they
+    evaluated.  ``relevant_cache_hits``/``misses`` count runs that reused
+    or built the signature's relevant-POI columns
+    (:class:`~repro.core.state_store.SignatureBindings`), and the
+    ``mass_cache_*`` counters the per-``(segment, cell)`` slot memo
+    traffic.  ``session_reused`` is true when the run was served from a
+    warm :class:`~repro.perf.session.QuerySession`; ``store_reused`` when
+    the run recycled an engine-pooled
     :class:`~repro.core.state_store.SegmentStateStore` instead of
-    allocating fresh columns.  ``termination_checks`` counts LBk >= UB
-    evaluations and ``lbk_heap_updates`` improvements pushed into the
-    incremental top-k threshold heap.
+    allocating fresh columns.
     """
 
     cells_popped: int = 0
@@ -76,7 +80,7 @@ class SOIStats:
     lbk_heap_updates: int = 0
     kernel_calls: int = 0
     refine_kernel_calls: int = 0
-    scalar_point_evals: int = 0
+    point_evals: int = 0
     relevant_cache_hits: int = 0
     relevant_cache_misses: int = 0
     mass_cache_hits: int = 0
@@ -104,7 +108,7 @@ class SOIStats:
             "lbk_heap_updates": self.lbk_heap_updates,
             "kernel_calls": self.kernel_calls,
             "refine_kernel_calls": self.refine_kernel_calls,
-            "scalar_point_evals": self.scalar_point_evals,
+            "point_evals": self.point_evals,
             "relevant_cache_hits": self.relevant_cache_hits,
             "relevant_cache_misses": self.relevant_cache_misses,
             "mass_cache_hits": self.mass_cache_hits,

@@ -30,6 +30,7 @@ contracts of :mod:`repro.analysis.contracts`.
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 from typing import Iterable
 
@@ -41,11 +42,9 @@ from repro.obs import tracer as obs_tracer
 from repro.obs.slowlog import SLOWLOG
 from repro.obs.tracer import perf_now, trace_span
 from repro.core.interest import (
-    RelevantCellCache,
     buffer_area,
+    ordered_row_sums,
     segment_interest,
-    segment_mass_batched_slots,
-    segment_mass_in_cell,
     validate_query,
 )
 from repro.core.results import SOIResult, SOIStats
@@ -60,7 +59,7 @@ from repro.core.state_store import (
 from repro.data.poi import POISet
 from repro.geometry.bbox import BBox
 from repro.index.cell_maps import SegmentCellMaps
-from repro.index.grid import CellCoord
+from repro.index.csr import gather_rows, sorted_unique
 from repro.index.poi_grid import POIGridIndex
 from repro.network.model import RoadNetwork
 
@@ -127,6 +126,7 @@ class SOIEngine:
         self._cell_size = cell_size
         self._extent_margin = extent_margin
         self.index_generation = 0
+        self._store_lock = threading.Lock()
         self._build_indexes()
         self.sessions = QuerySessionPool(
             self.poi_index,
@@ -170,8 +170,9 @@ class SOIEngine:
         engine._max_weight = (float(pois.weights.max()) if len(pois)
                               else 0.0)
         engine._sl3_entries = sl3_entries
-        engine._sl2_cache = {}
         engine._store_layouts = {}
+        engine._state_stores = {}
+        engine._store_lock = threading.Lock()
         engine.sessions = QuerySessionPool(
             poi_index,
             maxsize=(DEFAULT_MAX_SESSIONS if session_pool_size is None
@@ -198,15 +199,16 @@ class SOIEngine:
         with trace_span("index.cell_maps"):
             self.cell_maps = SegmentCellMaps(network, self.poi_index.grid)
         self._max_weight = float(pois.weights.max()) if len(pois) else 0.0
-        # SL3 order (length ascending) is query-independent; SL2 order
-        # depends only on eps, so it is cached per eps value.
+        # The SL3 order (length ascending) as the snapshot records it;
+        # queries read the SL2/SL3 orders from the store layout.
         with trace_span("index.source_list_orders"):
             self._sl3_entries: tuple[tuple[int, float], ...] = tuple(sorted(
                 ((seg.id, seg.length) for seg in network.iter_segments()),
                 key=lambda e: (e[1], e[0])))
-        self._sl2_cache: dict[float, tuple[tuple[tuple[int, float], ...],
-                                           float]] = {}
         self._store_layouts: dict[float, StoreLayout] = {}
+        # Recycled per-run scratch stores, per eps; handed out exclusively.
+        with self._store_lock:
+            self._state_stores: dict[float, list[SegmentStateStore]] = {}
 
     def rebuild_indexes(
         self,
@@ -242,24 +244,6 @@ class SOIEngine:
 
         return self.sessions.get(normalize_keywords(keywords))
 
-    def _sl2_entries(self, eps: float) -> tuple[
-            tuple[tuple[int, float], ...], float]:
-        """Sorted SL2 entries and the adaptive-SL2 threshold, per eps."""
-        cached = self._sl2_cache.get(eps)
-        if cached is None:
-            # One lexsort over the cached per-eps count column: the
-            # (-count, sid) order and the low-median threshold.
-            col = self.cell_maps.augmented_cell_counts_column(eps)
-            sids = self.cell_maps.segment_ids_column
-            order = np.lexsort((sids, -col))
-            entries = tuple(
-                (int(sids[pos]), float(col[pos])) for pos in order.tolist())
-            n = int(col.shape[0])
-            median = int(np.sort(col)[n // 2]) if n else 0.0
-            cached = (entries, 1.5 * median)
-            self._sl2_cache[eps] = cached
-        return cached
-
     def store_layout(self, eps: float) -> StoreLayout:
         """The dense/CSR :class:`StoreLayout` for one ``eps`` (cached).
 
@@ -272,6 +256,28 @@ class SOIEngine:
                 layout = StoreLayout(self.network, self.cell_maps, eps)
             self._store_layouts[eps] = layout
         return layout
+
+    def acquire_state_store(
+            self, layout: StoreLayout) -> tuple[SegmentStateStore, bool]:
+        """A scratch store over ``layout`` for one run; True when recycled.
+
+        The store is handed out exclusively — the caller returns it via
+        :meth:`release_state_store` when (and only when) the run completed
+        normally.  Stores outlive sessions: every query on the engine
+        shares the pool.
+        """
+        with self._store_lock:
+            pool = self._state_stores.get(layout.eps)
+            while pool:
+                store = pool.pop()
+                if store.layout is layout:
+                    return store, True
+        return SegmentStateStore(layout), False
+
+    def release_state_store(self, store: SegmentStateStore) -> None:
+        """Return a scratch store to the pool for the next run."""
+        with self._store_lock:
+            self._state_stores.setdefault(store.layout.eps, []).append(store)
 
     # -- public API ---------------------------------------------------------
 
@@ -347,8 +353,27 @@ class SOIEngine:
         return segment_interest(mass, segment.length, eps)
 
 
+_BLOCK_START = 4
+"""Pulls in the first filter block.  Blocks start small so a query that
+can stop after a few pulls does not overshoot by a large block."""
+
+_BLOCK_MAX = 256
+"""Largest filter block.  The block size doubles from
+:data:`_BLOCK_START` up to this; the value was chosen by measurement
+(DESIGN.md, "Filter-phase data layout")."""
+
+
 class _SOIRun:
-    """One execution of Algorithm 1 over a prepared :class:`SOIEngine`."""
+    """One execution of Algorithm 1 over a prepared :class:`SOIEngine`.
+
+    The filter is *block-synchronous*: each step pops a block of entries
+    from the source lists, applies all of its cell visits and segment
+    finalisations with array operations (one distance-kernel call for
+    every fresh slot mass), then updates ``LBk`` and checks Lemma 1 once.
+    Checking the bound less often only delays the stop, and the refine
+    computes every reported mass exactly, so the answer does not depend
+    on the block size or the access order.
+    """
 
     def __init__(
         self,
@@ -371,24 +396,8 @@ class _SOIRun:
         self.stats = SOIStats()
         self.session = session
         if session is not None:
-            # Cross-query reuse: the session owns the relevant-cell cache
-            # and the slot mass memo for this (eps, weighted).
-            self.cache = session.cache
             self.stats.session_reused = session.queries_served > 0
             session.queries_served += 1
-        else:
-            self.cache = RelevantCellCache(engine.poi_index, query)
-        # Segment state, bound by _store_setup.
-        self.store: SegmentStateStore | None = None
-        self._layout: StoreLayout | None = None
-        self._bind: SignatureBindings | None = None
-        self._mass_slots: MassSlots | None = None
-        # Whether memoised masses outlive this run (session-owned slots);
-        # per-run slots do not count memo misses.
-        self._count_memo = session is not None
-        self._lbk_topk = TopKThreshold(k)
-        self._lbk_dirty = True
-        self._lbk = 0.0
         # Weighted queries bound per-cell relevant mass by count * max weight.
         self._weight_cap = engine._max_weight if weighted else 1.0
         # Contract monitor (Lemma 1 / Definition 1); None on the fast path.
@@ -402,7 +411,6 @@ class _SOIRun:
         with trace_span("soi.query", k=self.k, eps=self.eps,
                         strategy=self.strategy.value, weighted=self.weighted,
                         keywords=",".join(sorted(self.query))):
-            hits0, misses0 = self.cache.hits, self.cache.misses
             t0 = perf_now()
             with trace_span("soi.build_source_lists"):
                 self._build_source_lists()
@@ -414,14 +422,11 @@ class _SOIRun:
             with trace_span("soi.refine"):
                 results = self._refine()
             t3 = perf_now()
-        if self.store is not None and self.session is not None:
-            # Recycle the scratch columns; on an exception the store is
-            # simply dropped, so a poisoned run can never be reused.
-            self.session.release_state_store(self.store)
+        # Recycle the scratch columns; on an exception the store is simply
+        # dropped, so a poisoned run can never be reused.
+        self.engine.release_state_store(self.store)
         self.stats.refine_kernel_calls = (
             self.stats.kernel_calls - kernels_before_refine)
-        self.stats.relevant_cache_hits = self.cache.hits - hits0
-        self.stats.relevant_cache_misses = self.cache.misses - misses0
         self.stats.phase_seconds = {
             "build": t1 - t0, "filter": t2 - t1, "refine": t3 - t2}
         obs_metrics.record_soi_query(self.stats)
@@ -441,154 +446,209 @@ class _SOIRun:
     # -- phase 1: source lists --------------------------------------------
 
     def _build_source_lists(self) -> None:
-        # Per-cell |P_Psi(c)| upper bounds; cells absent from this map hold
-        # no relevant POI, so visiting them contributes nothing to mass.
-        if self.session is not None:
-            # Keyword-only aggregate: computed once per signature, shared
-            # by every (k, eps, strategy) configuration of the sweep.  The
-            # SL1 order is likewise signature-only, so the session serves
-            # it presorted and warm queries skip the re-sort.
-            self._cell_ub = self.session.cell_upper_bounds()
-            self.sl1 = CellSourceList(self.session.sl1_entries(),
-                                      presorted=True)
-        else:
-            poi_index = self.engine.poi_index
-            self._cell_ub: dict[CellCoord, int] = {}
-            sl1_entries = []
-            for cell in poi_index.candidate_cells(self.query):
-                ub = poi_index.relevant_count_upper_bound(cell, self.query)
-                if ub > 0:
-                    self._cell_ub[cell] = ub
-                    sl1_entries.append((cell, ub))
-            self.sl1 = CellSourceList(sl1_entries)
+        """Bind the layout, the signature columns, the mass memo and a
+        scratch store, and open the three source lists over them.
 
-        # Threshold for the paper's adaptive SL2 access: "we only access
-        # segments via the second source SL2 in the case that a few
-        # segments with a large number of neighboring cells exist".  A
-        # segment whose |C_eps| is far above the median is such an outlier:
-        # it keeps top(SL2) — and hence UB — inflated, so it is retrieved
-        # directly instead of waiting for a cell access to reach it.
-        sl2_entries, self._sl2_threshold = self.engine._sl2_entries(self.eps)
-        self._store_setup()
-        is_final, is_seen = self._store_is_final, self._store_is_seen
-        self.sl2 = SegmentSourceList(
-            sl2_entries, descending=True,
-            is_final=is_final, is_seen=is_seen, presorted=True)
-        self.sl3 = SegmentSourceList(
-            self.engine._sl3_entries, descending=False,
-            is_final=is_final, is_seen=is_seen, presorted=True)
-        self._lists = {"SL1": self.sl1, "SL2": self.sl2, "SL3": self.sl3}
-
-    def _store_setup(self) -> None:
-        """Bind the layout, signature bindings, mass slots and scratch.
-
-        With a session every piece is pooled: the bindings and slot memo
-        are computed once per signature and the scratch store is recycled
-        run-to-run, so a warm query allocates no columns at all.
+        With a session the signature bindings and the slot memo are built
+        once per signature; the scratch store comes from the engine's
+        pool, so a query allocates no per-segment columns.
         """
-        layout = self.engine.store_layout(self.eps)
-        self._layout = layout
+        engine = self.engine
+        layout = engine.store_layout(self.eps)
         session = self.session
         if session is not None:
-            self._bind = session.store_bindings(layout)
-            self._mass_slots = session.store_mass_slots(layout, self.weighted)
-            store, reused = session.acquire_state_store(layout)
-            self.stats.store_reused = reused
+            bind = session.store_bindings(layout)
+            memo = session.store_mass_slots(layout, self.weighted)
         else:
-            self._bind = SignatureBindings(layout, self._cell_ub)
-            self._mass_slots = MassSlots(layout.num_slots)
-            store = SegmentStateStore(layout)
+            bind = SignatureBindings(layout, engine.poi_index, self.query)
+            memo = MassSlots(layout.num_slots)
+        if bind.uses:
+            self.stats.relevant_cache_hits += 1
+        else:
+            self.stats.relevant_cache_misses += 1
+        bind.uses += 1
+        store, self.stats.store_reused = engine.acquire_state_store(layout)
         store.begin_run()
-        self.store = store
-
-    def _store_is_seen(self, segment_id: int) -> bool:
-        return segment_id in self.store.seen_ids
-
-    def _store_is_final(self, segment_id: int) -> bool:
-        return segment_id in self.store.final_ids
+        self.layout, self.bind, self.memo, self.store = (
+            layout, bind, memo, store)
+        self.sl1 = CellSourceList(bind.sl1_cells, bind.sl1_ub)
+        columns = (store.seen_epoch, store.final_epoch, store.epoch)
+        self.sl2 = SegmentSourceList(layout.sl2_order, layout.sl2_weight,
+                                     *columns)
+        self.sl3 = SegmentSourceList(layout.sl3_order, layout.sl3_weight,
+                                     *columns)
+        # Best lower bound per street (dense street numbers); LBk is its
+        # k-th largest positive entry.
+        self._street_best = np.zeros(layout.street_ids.shape[0])
 
     # -- phase 2: filtering --------------------------------------------------
 
-    _CHECK_EVERY = 4
-    """Termination-test frequency.  Testing LBk >= UB on every access costs
-    more than the few extra accesses a delayed test allows, and a delayed
-    test is conservative (it can only keep filtering longer)."""
-
     def _filter(self) -> None:
-        cycle = self.strategy.cycle
-        ncycle = len(cycle)
-        position = 0
         stats = self.stats
         monitor = self._monitor
-        check_every = self._CHECK_EVERY
-        # Hot loop: the attribute chains below are loop-invariant, so they
-        # are hoisted into locals (the warm-session profile is dominated by
-        # this loop's per-access bookkeeping, not by mass kernels).
-        # Tracing likewise binds once: the untraced access method when off,
-        # so the disabled path pays nothing per access.
-        tracing = obs_tracer.ENABLED
-        plain_access = self._access
-        if tracing:
-            def access(name: str, _plain=plain_access) -> bool:
-                with trace_span("soi.pull", source=name):
-                    return _plain(name)
-        else:
-            access = plain_access
-        alternate = (self.strategy is AccessStrategy.ALTERNATE
-                     and self._sl2_threshold > 0)
-        sl2_top = self.sl2.top
-        sl2_threshold = self._sl2_threshold
+        size = _BLOCK_START
+        position = 0
         while True:
-            if stats.iterations % check_every == 0:
-                stats.termination_checks += 1
-                if tracing:
-                    with trace_span("soi.termination_check"):
-                        lbk = self._compute_lbk()
-                        ub = self._compute_ub()
-                else:
-                    lbk = self._compute_lbk()
-                    ub = self._compute_ub()
-                if monitor is not None:
-                    monitor.observe_threshold(lbk, ub)
-                if lbk >= ub:
-                    break
-            accessed = False
-            if alternate:
-                top2 = sl2_top()
-                if top2 is not None and top2 > sl2_threshold:
-                    accessed = access("SL2")
-            for offset in range(ncycle):
-                if accessed:
-                    break
-                name = cycle[(position + offset) % ncycle]
-                if access(name):
-                    position = (position + offset + 1) % ncycle
-                    accessed = True
-            if not accessed:
-                # Preferred lists drained; fall back to any remaining list.
-                for name in ("SL1", "SL2", "SL3"):
-                    if access(name):
-                        accessed = True
-                        break
-            if not accessed:
+            stats.termination_checks += 1
+            lbk = self._compute_lbk()
+            ub = self._compute_ub()
+            if monitor is not None:
+                monitor.observe_threshold(lbk, ub)
+            if lbk >= ub:
                 break
-            stats.iterations += 1
+            cells, segments, sources, position = self._pop_block(
+                size, position)
+            pulls = int(cells.shape[0] + segments.shape[0])
+            if not pulls:
+                break  # every list is drained
+            stats.iterations += pulls
+            if obs_tracer.ENABLED:
+                with trace_span("soi.pull", source="+".join(sources),
+                                block=pulls):
+                    self._apply_block(cells, segments)
+            else:
+                self._apply_block(cells, segments)
+            size = min(2 * size, _BLOCK_MAX)
+
+    def _pop_block(self, size: int, position: int):
+        """Choose the next ``size`` pulls in the strategy's list order.
+
+        The adaptive SL2 access comes first ("we only access segments via
+        the second source SL2 in the case that a few segments with a large
+        number of neighboring cells exist": a segment whose ``|C_eps|`` is
+        far above the median keeps ``top(SL2)`` — and hence UB — inflated,
+        so it is retrieved directly).  The rest of the block comes from
+        the strategy's cycle, starting at ``position``; a list that runs
+        dry hands the remainder of the block to the next one, and when the
+        cycle's lists are drained any remaining list serves.  Returns the
+        popped cells, the popped segments, the lists used and the next
+        cycle position.
+        """
+        cells: list[np.ndarray] = []
+        segments: list[np.ndarray] = []
+        sources: list[str] = []
+        need = size
+        threshold = self.layout.sl2_threshold
+        if self.strategy is AccessStrategy.ALTERNATE and threshold > 0:
+            top2 = self.sl2.top()
+            if top2 is not None and top2 > threshold:
+                need -= self._pop_from("SL2", need, cells, segments, sources,
+                                       above=threshold)
+        cycle = self.strategy.cycle
+        while need:
+            for offset in range(len(cycle)):
+                name = cycle[(position + offset) % len(cycle)]
+                got = self._pop_from(name, need, cells, segments, sources)
+                if got:
+                    position = (position + offset + 1) % len(cycle)
+                    break
+            else:
+                for name in ("SL1", "SL2", "SL3"):
+                    got = self._pop_from(name, need, cells, segments,
+                                         sources)
+                    if got:
+                        break
+                else:
+                    break
+            need -= got
+        empty = np.zeros(0, dtype=np.int64)
+        return (np.concatenate(cells) if cells else empty,
+                np.concatenate(segments) if segments else empty,
+                sources, position)
+
+    def _pop_from(self, name: str, need: int, cells: list, segments: list,
+                  sources: list, above: float | None = None) -> int:
+        if name == "SL1":
+            block = self.sl1.pop_block(need)
+            self.stats.cells_popped += int(block.shape[0])
+            out = cells
+        else:
+            source = self.sl2 if name == "SL2" else self.sl3
+            block = source.pop_block(need, above)
+            self.stats.segments_popped += int(block.shape[0])
+            out = segments
+        if block.shape[0]:
+            out.append(block)
+            sources.append(name)
+        return int(block.shape[0])
+
+    def _apply_block(self, cells: np.ndarray, segments: np.ndarray) -> None:
+        """The paper's ``UpdateInterest`` for a whole block at once.
+
+        Visits every slot of the popped cells and every remaining slot of
+        the popped segments: marks the fresh slots visited, initialises
+        newly seen segments, adds each fresh relevant slot's mass (memo or
+        one kernel call for all of them), records the street lower bounds
+        and finalises the popped segments and those with every cell
+        visited.
+        """
+        layout, store, stats = self.layout, self.store, self.stats
+        epoch = store.epoch
+        # Distinct cells own disjoint slots, and so do distinct segments:
+        # only a block that mixes cells and segments can name a slot twice.
+        slots = np.zeros(0, dtype=np.int64)
+        if cells.shape[0]:
+            rows, _local = gather_rows(layout.cell_slot_offsets, cells)
+            slots = layout.cell_slots[rows]
+        if segments.shape[0]:
+            rows, _local = gather_rows(layout.slot_offsets, segments)
+            slots = (sorted_unique(np.concatenate((slots, rows)))
+                     if slots.shape[0] else rows)
+        fresh = slots[store.visit_epoch[slots] != epoch]
+        store.visit_epoch[fresh] = epoch
+        stats.cell_visits += int(fresh.shape[0])
+        fresh_seg = layout.slot_seg[fresh]
+        touched = np.concatenate((fresh_seg, segments))
+        new = touched[store.seen_epoch[touched] != epoch]
+        if new.shape[0]:
+            new = sorted_unique(new)
+            store.seen_epoch[new] = epoch
+            store.mass[new] = 0.0
+            store.visited[new] = 0
+            stats.segments_seen += int(new.shape[0])
+        np.add.at(store.visited, fresh_seg, 1)
+        # Popped segments were marked final by their list (they were not
+        # final before); the others finalise once every cell is visited.
+        stats.segments_finalized_in_filter += int(segments.shape[0])
+        done = touched[(store.visited[touched] == layout.cell_counts[touched])
+                       & (store.final_epoch[touched] != epoch)]
+        if done.shape[0]:
+            done = sorted_unique(done)
+            store.final_epoch[done] = epoch
+            stats.segments_finalized_in_filter += int(done.shape[0])
+        relevant = fresh[self.bind.rel_count[layout.slot_cell[fresh]] > 0]
+        if relevant.shape[0]:
+            self.memo.fill(relevant, layout, self.bind, self.eps,
+                           self.weighted, stats, self.session is not None)
+            relevant_seg = layout.slot_seg[relevant]
+            np.add.at(store.mass, relevant_seg, self.memo.mass[relevant])
+            self._record_bounds(sorted_unique(relevant_seg))
+
+    def _record_bounds(self, segments: np.ndarray) -> None:
+        """Raise each street's lower bound to its segments' partial
+        interest (Definition 2 over the mass accumulated so far)."""
+        layout = self.layout
+        mass = self.store.mass[segments]
+        if contracts.ENABLED:
+            for value, length in zip(mass.tolist(),
+                                     layout.lengths[segments].tolist()):
+                contracts.check_definition2(value, length, self.eps)
+        streets = layout.street_idx[segments]
+        best = self._street_best
+        before = best[streets]
+        np.maximum.at(best, streets, mass / layout.buffer_col[segments])
+        raised = streets[best[streets] > before]
+        if raised.shape[0]:
+            self.stats.lbk_heap_updates += int(
+                sorted_unique(raised).shape[0])
 
     def _compute_lbk(self) -> float:
-        """Current LBk; recomputed lazily and at most every few iterations.
-
-        Using a slightly stale (hence smaller) LBk in the termination test
-        is conservative — it can only delay termination, never cause a
-        wrong result — so even the O(log k) threshold read is throttled,
-        preserving the exact refresh cadence of the old full rescan.
-        """
-        if not self._lbk_dirty or self.stats.iterations % 8 != 0:
-            return self._lbk
-        current = self._lbk_topk.current()
-        if current is not None:
-            self._lbk = current
-        self._lbk_dirty = False
-        return self._lbk
+        """LBk: the k-th largest positive street lower bound (0 below k)."""
+        positive = self._street_best[self._street_best > 0.0]
+        if positive.shape[0] < self.k:
+            return 0.0
+        at = positive.shape[0] - self.k
+        return float(np.partition(positive, at)[at])
 
     def _compute_ub(self) -> float:
         top_cells = self.sl1.top()
@@ -599,286 +659,161 @@ class _SOIRun:
         mass_ub = top_cells * top_count * self._weight_cap
         return mass_ub / buffer_area(top_length, self.eps)
 
-    def _access(self, name: str) -> bool:
-        """Perform one access on the named list; False when exhausted."""
-        if name == "SL1":
-            cell = self.sl1.pop()
-            if cell is None:
-                return False
-            self.stats.cells_popped += 1
-            self._store_visit_cell(cell)
-            return True
-        source: SegmentSourceList = self._lists[name]
-        segment_id = source.pop()
-        if segment_id is None:
-            return False
-        self.stats.segments_popped += 1
-        self._store_finalize(self._layout.dense_index[segment_id])
-        return True
-
-    def _store_visit_cell(self, cell: CellCoord) -> None:
-        """The paper's ``UpdateInterest(l, c, Psi)`` for every segment of
-        a popped cell.
-
-        Per ``(segment, slot)`` pair in ``segments_of_cell`` order: mark
-        visited, init-if-fresh, decrement ``to_visit``, add the slot
-        mass (memoised or freshly computed; cells the global index shows
-        to hold no relevant POI add nothing), record the street lower
-        bound, finalise on zero ``to_visit`` — driven by Python ints
-        against the flat columns (cell groups hold only a handful of
-        segments, see the state_store module docs).
-        """
-        layout = self._layout
-        group = layout.by_cell.get(cell)
-        if group is None:
-            return
-        seg_list, slot_list = group
-        store = self.store
-        stats = self.stats
-        epoch = store.epoch
-        visit_epoch = store.visit_epoch
-        seen_epoch = store.seen_epoch
-        final_epoch = store.final_epoch
-        to_visit = store.to_visit
-        mass_col = store.mass
-        remaining = store.remaining_ub
-        total_ub = self._bind.total_ub_list
-        cell_counts = layout.cell_counts_list
-        seg_ids = layout.seg_ids_list
-        street_list = layout.street_list
-        buffer_list = layout.buffer_list
-        lengths_list = layout.lengths_list
-        mass_slots = self._mass_slots
-        slot_known = mass_slots.known
-        slot_mass = mass_slots.mass
-        active = store.active
-        seen_ids = store.seen_ids
-        final_ids = store.final_ids
-        topk = self._lbk_topk
-        cell_ub = self._cell_ub.get(cell, 0)
-        relevant = cell_ub > 0
-        checking = contracts.ENABLED
-        for dense, slot in zip(seg_list, slot_list):
-            if visit_epoch[slot] == epoch:
-                continue
-            visit_epoch[slot] = epoch
-            stats.cell_visits += 1
-            if seen_epoch[dense] != epoch:
-                seen_epoch[dense] = epoch
-                mass_col[dense] = 0.0
-                remaining[dense] = total_ub[dense]
-                to_visit[dense] = cell_counts[dense]
-                active.append(dense)
-                seen_ids.add(seg_ids[dense])
-                stats.segments_seen += 1
-            to_visit[dense] -= 1
-            if relevant:
-                if slot_known[slot]:
-                    stats.mass_cache_hits += 1
-                    value = slot_mass[slot]
-                else:
-                    value = segment_mass_in_cell(
-                        layout.segments[dense], cell, self.cache, self.eps,
-                        self.weighted, stats)
-                    slot_mass[slot] = value
-                    slot_known[slot] = True
-                    if self._count_memo:
-                        stats.mass_cache_misses += 1
-                new_mass = mass_col[dense] + value
-                mass_col[dense] = new_mass
-                remaining[dense] -= cell_ub
-                if new_mass > 0.0:
-                    if checking:
-                        contracts.check_definition2(
-                            new_mass, lengths_list[dense], self.eps)
-                    if topk.update(street_list[dense],
-                                   new_mass / buffer_list[dense]):
-                        stats.lbk_heap_updates += 1
-                        self._lbk_dirty = True
-            if to_visit[dense] == 0:
-                # An unvisited slot implies the segment was not yet final,
-                # so this zero crossing is its (single) finalisation.
-                final_epoch[dense] = epoch
-                final_ids.add(seg_ids[dense])
-                stats.segments_finalized_in_filter += 1
-
-    def _store_record_bound(self, dense: int) -> None:
-        """Single-segment street lower-bound record (the finalise tail)."""
-        store = self.store
-        mass = store.mass[dense]
-        if mass <= 0.0:
-            return
-        layout = self._layout
-        if contracts.ENABLED:
-            contracts.check_definition2(
-                mass, layout.lengths_list[dense], self.eps)
-        value = mass / layout.buffer_list[dense]
-        if self._lbk_topk.update(layout.street_list[dense], value):
-            self.stats.lbk_heap_updates += 1
-            self._lbk_dirty = True
-
-    def _store_ensure_seen(self, dense: int) -> None:
-        store = self.store
-        epoch = store.epoch
-        if store.seen_epoch[dense] == epoch:
-            return
-        layout = self._layout
-        store.seen_epoch[dense] = epoch
-        store.mass[dense] = 0.0
-        store.remaining_ub[dense] = self._bind.total_ub_list[dense]
-        store.to_visit[dense] = layout.cell_counts_list[dense]
-        store.active.append(dense)
-        store.seen_ids.add(layout.seg_ids_list[dense])
-        self.stats.segments_seen += 1
-
-    def _store_visit_rest(self, dense: int) -> None:
-        """Visit every remaining cell of a segment with one batched kernel.
-
-        The unvisited slots come out of the CSR slice in ascending slot
-        order — the canonical ``cells_of_segment`` order — so the
-        accumulated mass is bit-identical to a per-cell visit sequence.
-        Recording the lower bound once with the final mass (in
-        :meth:`_store_finalize`) subsumes the intermediate records: the
-        street threshold keeps the maximum, and mass only grows.
-        """
-        store = self.store
-        layout = self._layout
-        epoch = store.epoch
-        start = int(layout.slot_offsets[dense])
-        stop = int(layout.slot_offsets[dense + 1])
-        if stop == start:
-            return
-        mass_slots = self._mass_slots
-        # Mark visited and split the relevant slots into memoised vs fresh
-        # in one walk of the segment's slot run.
-        visit_epoch = store.visit_epoch
-        slot_relevant = self._bind.slot_relevant_list
-        slot_known = mass_slots.known
-        rel_list: list[int] = []
-        count = 0
-        all_known = True
-        for slot in range(start, stop):
-            if visit_epoch[slot] == epoch:
-                continue
-            visit_epoch[slot] = epoch
-            count += 1
-            if slot_relevant[slot]:
-                rel_list.append(slot)
-                if not slot_known[slot]:
-                    all_known = False
-        if count:
-            self.stats.cell_visits += count
-        if not rel_list:
-            return
-        if all_known:
-            # Warm fast path: every contribution is memoised; accumulate
-            # the slot run in cell order.
-            self.stats.mass_cache_hits += len(rel_list)
-            slot_mass = mass_slots.mass
-            added = 0.0
-            for slot in rel_list:
-                added += slot_mass[slot]
-        else:
-            slot_cells = layout.slot_cells
-            added = segment_mass_batched_slots(
-                layout.segments[dense],
-                [slot_cells[slot] for slot in rel_list], rel_list,
-                mass_slots.mass, mass_slots.known, self.cache,
-                self.eps, self.weighted, stats=self.stats,
-                count_memo=self._count_memo)
-        store.mass[dense] = store.mass[dense] + added
-
-    def _store_finalize(self, dense: int) -> None:
-        """Visit the rest of a popped segment, mark it final, record LB."""
-        self._store_ensure_seen(dense)
-        store = self.store
-        self._store_visit_rest(dense)
-        store.to_visit[dense] = 0
-        store.remaining_ub[dense] = 0
-        epoch = store.epoch
-        if store.final_epoch[dense] != epoch:
-            store.final_epoch[dense] = epoch
-            store.final_ids.add(self._layout.seg_ids_list[dense])
-            self.stats.segments_finalized_in_filter += 1
-        self._store_record_bound(dense)
-
-    def _store_finalize_exact(self, dense: int) -> None:
-        """Refinement finalisation: no LB record, no filter counter."""
-        store = self.store
-        self._store_visit_rest(dense)
-        store.to_visit[dense] = 0
-        store.remaining_ub[dense] = 0
-        store.final_epoch[dense] = store.epoch
-        store.final_ids.add(self._layout.seg_ids_list[dense])
-
     # -- phase 3: refinement -------------------------------------------------
 
     def _refine(self) -> list[SOIResult]:
-        """Refinement over the active dense positions."""
-        layout = self._layout
-        store = self.store
+        """Exact interests of the seen segments, then the ranking.
+
+        Final segments are exact already.  A partial segment whose
+        unvisited cells hold no relevant POI is exact too; the others are
+        finalised in decreasing order of their optimistic interest until
+        that drops below the k-th best exact street (with
+        ``prune_refinement``).
+        """
+        layout, store = self.layout, self.store
         epoch = store.epoch
-        eps = self.eps
-        seg_ids = layout.seg_ids_list
-        street_of = layout.street_list
-        lengths = layout.lengths_list
-        buffer_col = layout.buffer_list
-        mass_col = store.mass
-        final_col = store.final_epoch
-        remaining_col = store.remaining_ub
-        weight_cap = self._weight_cap
-        exact: dict[int, tuple[float, int]] = {}
-        exact_topk = TopKThreshold(self.k)
+        seen = np.flatnonzero(store.seen_epoch == epoch)
+        is_final = store.final_epoch[seen] == epoch
+        exact = seen[is_final]
+        partial = seen[~is_final]
+        remaining = np.zeros(0)
+        if partial.shape[0]:
+            slots, local = gather_rows(layout.slot_offsets, partial)
+            unvisited = store.visit_epoch[slots] != epoch
+            remaining = np.bincount(
+                local[unvisited],
+                weights=self.bind.cell_ub[
+                    layout.slot_cell[slots[unvisited]]].astype(np.float64),
+                minlength=partial.shape[0]) * self._weight_cap
+            settled = remaining <= 0.0
+            store.final_epoch[partial[settled]] = epoch
+            exact = np.concatenate((exact, partial[settled]))
+            partial, remaining = partial[~settled], remaining[~settled]
+        values = self._exact_values(exact)
+        if partial.shape[0]:
+            optimistic = ((store.mass[partial] + remaining)
+                          / layout.buffer_col[partial])
+            order = np.lexsort((layout.seg_ids[partial], -optimistic))
+            refined, refined_values = self._refine_partial(
+                partial[order], optimistic[order], exact, values)
+            exact = np.concatenate((exact, refined))
+            values = np.concatenate((values, refined_values))
+        return self._rank(exact, values)
 
-        def record_exact(dense: int) -> None:
-            mass = float(mass_col[dense])
-            if contracts.ENABLED:
-                contracts.check_definition2(mass, lengths[dense], eps)
-            value = mass / buffer_col[dense]
-            street_id = street_of[dense]
-            best = exact.get(street_id)
-            if best is None or value > best[0]:
-                exact[street_id] = (value, seg_ids[dense])
-                exact_topk.update(street_id, value)
+    def _refine_partial(self, partial: np.ndarray, optimistic: np.ndarray,
+                        exact: np.ndarray, values: np.ndarray):
+        """Finalise partial segments in order until the pruning test stops.
 
-        partial: list[tuple[float, int, int]] = []
-        for dense in store.active:
-            if final_col[dense] == epoch:
-                record_exact(dense)
-                continue
-            remaining_ub = int(remaining_col[dense]) * weight_cap
-            if remaining_ub == 0:
-                # The unvisited cells hold no relevant POIs: mass is exact.
-                store.to_visit[dense] = 0
-                final_col[dense] = epoch
-                store.final_ids.add(seg_ids[dense])
-                record_exact(dense)
-                continue
-            optimistic = segment_interest(
-                float(mass_col[dense]) + remaining_ub,
-                lengths[dense], eps)
-            partial.append((optimistic, seg_ids[dense], dense))
-
-        partial.sort(key=lambda item: (-item[0], item[1]))
-        for index, (optimistic, _sid, dense) in enumerate(partial):
-            if self.prune_refinement:
-                kth = exact_topk.current()
-                if kth is not None and optimistic < kth:
-                    self.stats.refinement_pruned += len(partial) - index
+        Chunks of segments (growing like filter blocks) are finalised
+        with one kernel call each; the pruning test still runs segment by
+        segment against the running k-th best street, so the segments
+        kept are exactly those a one-at-a-time loop would finalise.
+        """
+        stats = self.stats
+        street_idx = self.layout.street_idx
+        topk = TopKThreshold(self.k)
+        best = np.zeros(self._street_best.shape[0])
+        np.maximum.at(best, street_idx[exact], values)
+        for street in np.flatnonzero(best > 0.0).tolist():
+            topk.update(street, float(best[street]))
+        kth = topk.current()
+        prune = self.prune_refinement
+        kept: list[np.ndarray] = []
+        kept_values: list[np.ndarray] = []
+        total = int(partial.shape[0])
+        done = 0
+        size = _BLOCK_START
+        while done < total:
+            if prune and kth is not None and optimistic[done] < kth:
+                break
+            chunk = partial[done:done + size]
+            chunk_values = self._finalize_exact(chunk)
+            take = 0
+            for value, street, bound in zip(
+                    chunk_values.tolist(), street_idx[chunk].tolist(),
+                    optimistic[done:done + size].tolist()):
+                if take and prune and kth is not None and bound < kth:
                     break
-            self._store_finalize_exact(dense)
-            record_exact(dense)
-            self.stats.refinement_finalized += 1
+                topk.update(street, value)
+                kth = topk.current()
+                take += 1
+            kept.append(chunk[:take])
+            kept_values.append(chunk_values[:take])
+            done += take
+            stats.refinement_finalized += take
+            if take < chunk.shape[0]:
+                break
+            size = min(2 * size, _BLOCK_MAX)
+        stats.refinement_pruned += total - done
+        if not kept:
+            return partial[:0], np.zeros(0)
+        return np.concatenate(kept), np.concatenate(kept_values)
 
-        ranked = sorted(
-            ((value, street_id, seg_id)
-             for street_id, (value, seg_id) in exact.items() if value > 0),
-            key=lambda item: (-item[0], item[1]))
+    def _finalize_exact(self, segments: np.ndarray) -> np.ndarray:
+        """Visit every remaining cell of ``segments``; their exact
+        interests."""
+        layout, store = self.layout, self.store
+        epoch = store.epoch
+        slots, _local = gather_rows(layout.slot_offsets, segments)
+        fresh = slots[store.visit_epoch[slots] != epoch]
+        store.visit_epoch[fresh] = epoch
+        self.stats.cell_visits += int(fresh.shape[0])
+        relevant = fresh[self.bind.rel_count[layout.slot_cell[fresh]] > 0]
+        if relevant.shape[0]:
+            self.memo.fill(relevant, layout, self.bind, self.eps,
+                           self.weighted, self.stats,
+                           self.session is not None)
+        store.final_epoch[segments] = epoch
+        return self._exact_values(segments)
+
+    def _exact_values(self, segments: np.ndarray) -> np.ndarray:
+        """Definition 2 interest of fully accounted segments.
+
+        Each mass is re-accumulated from the slot memo in the segment's
+        canonical slot order (unvisited slots hold no relevant POI), so
+        it is the float :func:`~repro.core.interest.segment_mass` and the
+        baseline compute, whatever order the filter visited the slots in.
+        """
+        layout = self.layout
+        slots, _local = gather_rows(layout.slot_offsets, segments)
+        memo = self.memo
+        contributions = np.where(memo.known[slots], memo.mass[slots], 0.0)
+        mass = ordered_row_sums(contributions, layout.cell_counts[segments])
+        if contracts.ENABLED:
+            for value, length in zip(mass.tolist(),
+                                     layout.lengths[segments].tolist()):
+                contracts.check_definition2(value, length, self.eps)
+        return mass / layout.buffer_col[segments]
+
+    def _rank(self, segments: np.ndarray,
+              values: np.ndarray) -> list[SOIResult]:
+        """Top-k streets by their best exact segment (Definition 3).
+
+        Streets rank by interest descending, ties by street id; a
+        street's best segment is its first maximum in ``iter_segments``
+        order, the baseline's rule.
+        """
+        layout = self.layout
+        positive = values > 0.0
+        segments, values = segments[positive], values[positive]
+        streets = layout.street_idx[segments]
+        order = np.lexsort((segments, -values, streets))
+        segments, values, streets = (segments[order], values[order],
+                                     streets[order])
+        first = np.ones(streets.shape[0], dtype=bool)
+        first[1:] = streets[1:] != streets[:-1]
+        segments, values, streets = (segments[first], values[first],
+                                     streets[first])
+        top = np.lexsort((streets, -values))[:self.k]
         network = self.engine.network
-        return [
-            SOIResult(street_id=street_id,
-                      street_name=network.street(street_id).name,
-                      interest=value,
-                      best_segment_id=seg_id)
-            for value, street_id, seg_id in ranked[: self.k]
-        ]
+        results = []
+        for street, value, dense in zip(streets[top].tolist(),
+                                        values[top].tolist(),
+                                        segments[top].tolist()):
+            street_id = int(layout.street_ids[street])
+            results.append(SOIResult(
+                street_id=street_id,
+                street_name=network.street(street_id).name,
+                interest=value,
+                best_segment_id=int(layout.seg_ids[dense])))
+        return results

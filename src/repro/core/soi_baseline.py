@@ -14,15 +14,13 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.aggregates import StreetAggregate
 
-from repro.core.interest import (
-    RelevantCellCache,
-    segment_interest,
-    segment_mass_batched_slots,
-    validate_query,
-)
+import numpy as np
+
+from repro.analysis import contracts
+from repro.core.interest import ordered_row_sums, validate_query
 from repro.core.results import SOIResult
 from repro.core.soi import DEFAULT_EPS, SOIEngine
-from repro.core.state_store import MassSlots
+from repro.core.state_store import MassSlots, SignatureBindings
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import trace_span
 
@@ -106,55 +104,61 @@ class BaselineSOI:
         """Exact Definition 2 interest of *every* segment.
 
         Also used by the effectiveness experiments that need the full
-        ranking rather than just the top k.  One batched distance kernel
-        runs per segment (over its whole ``eps``-neighbourhood), and with
-        ``use_session=True`` the per-cell materialisations and the slot
-        mass memo are shared with the engine's other queries on the same
-        keyword set.  ``stats`` (an :class:`~repro.core.results.SOIStats`
-        or compatible) collects kernel/cache counters.
-
-        Segments are scanned through the store layout's CSR slots: the
-        dense order *is* ``iter_segments`` order and each segment's slot
-        run *is* its ``cells_of_segment`` order, so masses accumulate
-        exactly as :func:`~repro.core.interest.segment_mass` sums them.
+        ranking rather than just the top k.  ``stats`` (an
+        :class:`~repro.core.results.SOIStats` or compatible) collects
+        kernel/cache counters.
         """
         query = validate_query(keywords, k, eps)
         with trace_span("soi.baseline_query", eps=eps, weighted=weighted,
                         keywords=",".join(sorted(query))):
             layout = self.engine.store_layout(eps)
-            session = (self.engine.sessions.get(query) if use_session
-                       else None)
-            if session is not None:
-                cache = session.cache
-                if stats is not None:
-                    stats.session_reused = session.queries_served > 0
-                session.queries_served += 1
-                mass_slots = session.store_mass_slots(layout, weighted)
-            else:
-                cache = RelevantCellCache(self.engine.poi_index, query)
-                mass_slots = MassSlots(layout.num_slots)
-            slot_cells = layout.slot_cells
-            offsets = layout.slot_offsets
-            known_col = mass_slots.known
-            mass_col = mass_slots.mass
-            out: dict[int, float] = {}
-            for dense, segment in enumerate(layout.segments):
-                start = int(offsets[dense])
-                stop = int(offsets[dense + 1])
-                if start < stop and all(known_col[start:stop]):
-                    # Warm fast path: every contribution is memoised;
-                    # accumulate the slot run in cell order.
-                    if stats is not None:
-                        stats.mass_cache_hits += stop - start
-                    mass = 0.0
-                    for value in mass_col[start:stop]:
-                        mass += value
-                else:
-                    mass = segment_mass_batched_slots(
-                        segment, slot_cells[start:stop], range(start, stop),
-                        mass_col, known_col, cache, eps, weighted,
-                        stats=stats, count_memo=session is not None)
-                out[segment.id] = segment_interest(mass, segment.length, eps)
+            masses = self._segment_masses(layout, query, weighted,
+                                          use_session, stats)
+            if contracts.ENABLED:
+                for value, length in zip(masses.tolist(),
+                                         layout.lengths.tolist()):
+                    contracts.check_definition2(value, length, eps)
+            out = dict(zip(layout.seg_ids.tolist(),
+                           (masses / layout.buffer_col).tolist()))
         obs_metrics.REGISTRY.inc("soi.baseline_queries")
         obs_metrics.REGISTRY.inc("soi.baseline_segments_scanned", len(out))
         return out
+
+    def segment_masses(self, keywords: Iterable[str],
+                       eps: float = DEFAULT_EPS,
+                       weighted: bool = False) -> dict[int, float]:
+        """Exact Definition 1 mass of every segment, by segment id."""
+        query = validate_query(keywords, 1, eps)
+        layout = self.engine.store_layout(eps)
+        masses = self._segment_masses(layout, query, weighted, True, None)
+        return dict(zip(layout.seg_ids.tolist(), masses.tolist()))
+
+    def _segment_masses(self, layout, query: frozenset[str], weighted: bool,
+                        use_session: bool, stats):
+        """Every segment's mass, as a column in dense order.
+
+        One pass fills the slot memo for every slot whose cell holds a
+        relevant POI (:meth:`~repro.core.state_store.MassSlots.fill`, the
+        SOI engine's kernel), then each segment's slots are summed in
+        ``cells_of_segment`` order — the canonical accumulation the
+        engine's refine and :func:`~repro.core.interest.segment_mass`
+        use.  With ``use_session=True`` the signature columns and the
+        memo are shared with the engine's other queries on the same
+        keyword set.
+        """
+        engine = self.engine
+        session = engine.sessions.get(query) if use_session else None
+        if session is not None:
+            if stats is not None:
+                stats.session_reused = session.queries_served > 0
+            session.queries_served += 1
+            bind = session.store_bindings(layout)
+            memo = session.store_mass_slots(layout, weighted)
+        else:
+            bind = SignatureBindings(layout, engine.poi_index, query)
+            memo = MassSlots(layout.num_slots)
+        relevant = np.flatnonzero(bind.rel_count[layout.slot_cell] > 0)
+        memo.fill(relevant, layout, bind, layout.eps, weighted, stats,
+                  count_memo=session is not None)
+        contributions = np.where(memo.known, memo.mass, 0.0)
+        return ordered_row_sums(contributions, layout.cell_counts)

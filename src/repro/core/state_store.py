@@ -1,42 +1,42 @@
-"""Array-native segment state for the SOI filter and refine phases.
+"""Columnar state for the SOI filter and refine phases.
 
 Algorithm 1 tracks every *seen* segment's partial state.  This module
-holds it as columns: a dense segment-id mapping (the same iteration order
-the snapshot schema records) indexes flat columns for partial mass, the
-Definition 2 buffer-area denominator, the visited-cell progress and the
-remaining per-cell upper-bound contribution.  It is the only segment-state
+holds it as NumPy columns, so the block-synchronous filter of
+:mod:`repro.core.soi` applies a whole block of source-list pulls with a
+handful of array operations.  It is the only segment-state
 representation; correctness is pinned by the full-scan oracles in the
-tests and the ``REPRO_CHECK=1`` contracts, not by a second implementation.
+tests and the ``REPRO_CHECK=1`` contracts, not by a second
+implementation.
 
-The immutable layout and per-signature columns are NumPy arrays — they
-are *built* vectorised (one ufunc for every buffer area, one ``bincount``
-for every segment's total upper bound) and mirrored to Python lists for
-element-wise reads.  The mutable run scratch and the slot mass memo are
-plain Python lists: profiling the street grids shows a popped cell
-touches only 2–8 segments and a finalised segment ~10 slots, far below
-NumPy's per-call dispatch break-even, so the filter loop is driven by
-list indexing while the heavy lifting (mass kernels, column
-construction) stays batched.
+Layout vs. signature vs. scratch
+--------------------------------
+* :class:`StoreLayout` is immutable and engine-owned, one per ``eps``.
+  Dense position = ``network.iter_segments()`` order.  A *slot* is one
+  ``(segment, cell)`` incidence of the ``eps``-augmented cell maps; the
+  slots form a segment-major CSR (``slot_offsets``, in
+  ``cells_of_segment`` order) with a ``slot_seg``/``slot_cell`` column
+  pair and a cell-major inverse CSR (``cell_slot_offsets``/``cell_slots``,
+  in ``segments_of_cell`` order).  The SL2 and SL3 orders are columns
+  too.
+* :class:`SignatureBindings` is per keyword signature and layout: the
+  cell upper bounds ``|P_Psi(c)|`` of Algorithm 1, line 2, the SL1 order,
+  and a cell-major CSR of the signature's relevant POIs (coordinates and
+  weights), all built with array operations from the global index.
+* :class:`MassSlots` is the slot-indexed ``(segment, cell)`` mass memo,
+  per ``(signature, eps, weighted)``.  :meth:`MassSlots.fill` is the one
+  place slot masses are computed: one call of
+  :func:`~repro.core.interest.slot_masses` over the POI x slot rows of
+  every fresh slot.
+* :class:`SegmentStateStore` is mutable per-run scratch, pooled on the
+  engine and recycled through an epoch counter, so a query allocates no
+  per-segment columns.
 
-Layout vs. scratch
-------------------
-* :class:`StoreLayout` is immutable and engine-owned, one per ``eps``:
-  dense columns plus the CSR of ``(segment, cell)`` *slots* and its
-  cell-major inverse.
-* :class:`SignatureBindings` and :class:`MassSlots` are per keyword
-  signature (the latter also per ``weighted``), normally owned by a
-  :class:`~repro.perf.session.QuerySession`: the cell upper bounds of
-  Algorithm 1 line 2 projected onto the layout, and the slot-indexed
-  ``(segment, cell)`` mass memo.
-* :class:`SegmentStateStore` is mutable per-run scratch, recycled across
-  runs through an epoch counter so a warm query allocates nothing.
+Every memoised float is the value the kernel computes for that slot
+whatever else shares its call, so serving it cannot change any
+downstream comparison or bound.
 
-Every memoised float is the bitwise-exact value the mass kernel would
-recompute, so serving it cannot change any downstream comparison or bound.
-
-:class:`TopKThreshold` is the incremental LB_k maintenance: a bounded
-min-heap over per-street best values replaces the ``heapq.nlargest`` full
-rescan of every termination check.
+:class:`TopKThreshold` maintains the k-th largest of per-street values
+for the refinement's pruning test.
 """
 
 from __future__ import annotations
@@ -47,9 +47,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.interest import slot_masses
+from repro.core.source_lists import rank_entries
+from repro.index.csr import counts_to_offsets, gather_rows
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.index.cell_maps import SegmentCellMaps
-    from repro.index.grid import CellCoord
+    from repro.index.poi_grid import POIGridIndex
     from repro.network.model import RoadNetwork, Segment
 
 __all__ = [
@@ -142,19 +146,21 @@ class StoreLayout:
 
     Dense position = the engine's ``network.iter_segments()`` order (the
     order the snapshot exporter records), so a layout rebuilt over an
-    attached snapshot indexes identically.  A *slot* is one
-    ``(segment, cell)`` incidence of the ``eps``-augmented cell maps;
-    ``slot_offsets[d]:slot_offsets[d+1]`` spans segment ``d``'s cells in
-    ``cells_of_segment`` order, and ``by_cell`` inverts the CSR into
-    ``segments_of_cell`` order.
+    attached snapshot indexes identically.  Layout cells are the grid
+    cells that some segment's ``C_eps`` reaches, numbered in ascending
+    ``(i, j)`` order; ``lin_to_cell`` maps a linearised grid cell
+    ``i * ny + j`` to its layout number (``-1`` for cells no segment
+    reaches).  Streets are numbered in ascending street-id order
+    (``street_ids``/``street_idx``).
     """
 
     __slots__ = (
         "eps", "segments", "num_segments", "seg_ids", "lengths",
-        "street_of", "buffer_col", "dense_index", "num_slots", "num_cells",
-        "cells", "cell_index", "slot_offsets", "slot_cell", "slot_cells",
-        "cell_counts", "by_cell", "seg_ids_list", "street_list",
-        "lengths_list", "buffer_list", "cell_counts_list",
+        "street_ids", "street_idx", "ax", "ay", "bx", "by", "buffer_col",
+        "num_slots", "num_cells", "cell_lin", "lin_to_cell",
+        "slot_offsets", "cell_counts", "slot_cell", "slot_seg",
+        "cell_slot_offsets", "cell_slots", "sl2_order", "sl2_weight",
+        "sl2_threshold", "sl3_order", "sl3_weight",
     )
 
     def __init__(self, network: "RoadNetwork",
@@ -164,152 +170,168 @@ class StoreLayout:
         n = len(segments)
         self.segments = segments
         self.num_segments = n
-        self.seg_ids = np.fromiter((seg.id for seg in segments),
-                                   dtype=np.int64, count=n)
-        self.lengths = np.fromiter((seg.length for seg in segments),
-                                   dtype=np.float64, count=n)
-        self.street_of = np.fromiter((seg.street_id for seg in segments),
-                                     dtype=np.int64, count=n)
+
+        def column(attr: str, dtype) -> np.ndarray:
+            return np.fromiter((getattr(seg, attr) for seg in segments),
+                               dtype=dtype, count=n)
+
+        self.seg_ids = column("id", np.int64)
+        self.lengths = column("length", np.float64)
+        self.street_ids, street_idx = np.unique(column("street_id", np.int64),
+                                                return_inverse=True)
+        self.street_idx = street_idx.reshape(-1)
+        self.ax = column("ax", np.float64)
+        self.ay = column("ay", np.float64)
+        self.bx = column("bx", np.float64)
+        self.by = column("by", np.float64)
         # Definition 2 denominator column.  Evaluated as
         # (2.0 * eps) * length + (math.pi * eps) * eps — the exact
         # association Python gives buffer_area(), so each element is the
         # bitwise float segment_interest divides by.
         self.buffer_col = (2.0 * eps) * self.lengths + (math.pi * eps) * eps
-        self.dense_index = {seg.id: pos for pos, seg in enumerate(segments)}
-        # Python-list mirrors of the read-only columns for the small-group
-        # element-wise path: grid cells overlap only a couple of segments
-        # each, and at that size a list index beats a NumPy scalar index
-        # several-fold.  tolist() round-trips float64 exactly, so the
-        # mirrored values are the same bits.
-        self.seg_ids_list = [seg.id for seg in segments]
-        self.street_list = [seg.street_id for seg in segments]
-        self.lengths_list = self.lengths.tolist()
-        self.buffer_list = self.buffer_col.tolist()
 
         # The cell maps' CSR rows are in builder (``iter_segments``)
         # order, which is this dense order.
         offsets, flat_i, flat_j = cell_maps.augmented_csr(eps)
-        self._init_cells_from_csr(cell_maps.grid.ny, offsets, flat_i, flat_j)
-
-    def _init_cells_from_csr(self, ny: int, offsets: np.ndarray,
-                             flat_i: np.ndarray,
-                             flat_j: np.ndarray) -> None:
-        """Slot geometry from flat CSR pair columns: cells numbered by
-        first appearance in the slot stream, ``by_cell`` groups ascending
-        in slot (= dense segment) order."""
-        n = self.num_segments
-        lin = flat_i * np.int64(ny) + flat_j
-        uniq, first_idx, inverse = np.unique(
-            lin, return_index=True, return_inverse=True)
-        num_cells = int(uniq.shape[0])
-        rank = np.argsort(first_idx, kind="stable")
-        inv_rank = np.empty(num_cells, dtype=np.int64)
-        inv_rank[rank] = np.arange(num_cells, dtype=np.int64)
-        slot_cell = inv_rank[inverse.reshape(-1)]
-        cells: list["CellCoord"] = [
-            (int(key) // ny, int(key) % ny) for key in uniq[rank].tolist()]  # repro-lint: disable=REP-N202 (ny is a grid dimension, >= 1 by UniformGrid construction)
-        seg_col = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        slot_order = np.argsort(slot_cell, kind="stable")
-        group_offsets = np.zeros(num_cells + 1, dtype=np.int64)
-        np.cumsum(np.bincount(slot_cell, minlength=num_cells),
-                  out=group_offsets[1:])
+        grid = cell_maps.grid
+        lin = flat_i * np.int64(grid.ny) + flat_j
+        self.cell_lin, slot_cell = np.unique(lin, return_inverse=True)
+        self.num_cells = int(self.cell_lin.shape[0])
         self.num_slots = int(lin.shape[0])
-        self.num_cells = num_cells
-        self.cells = cells
-        self.cell_index = {cell: pos for pos, cell in enumerate(cells)}
+        self.lin_to_cell = np.full(grid.nx * grid.ny, -1, dtype=np.int64)
+        self.lin_to_cell[self.cell_lin] = np.arange(self.num_cells)
         self.slot_offsets = np.asarray(offsets, dtype=np.int64)
-        self.slot_cell = slot_cell
-        self.slot_cells = [cells[pos] for pos in slot_cell.tolist()]
         self.cell_counts = np.diff(self.slot_offsets)
-        self.cell_counts_list = self.cell_counts.tolist()
-        # Per cell: (segments, slots) in segments_of_cell order.  Kept as
-        # Python lists — the groups are tiny (a street grid's cell
-        # overlaps a handful of segments), so the filter walks them
-        # element-wise.
-        bounds = group_offsets.tolist()
-        segs_sorted = seg_col[slot_order].tolist()
-        slots_sorted = slot_order.tolist()
-        self.by_cell = {
-            cells[pos]: (segs_sorted[bounds[pos]:bounds[pos + 1]],
-                         slots_sorted[bounds[pos]:bounds[pos + 1]])
-            for pos in range(num_cells)}
+        self.slot_cell = slot_cell.reshape(-1).astype(np.int64)
+        self.slot_seg = np.repeat(np.arange(n, dtype=np.int64),
+                                  self.cell_counts)
+        # Stable: within a cell, slots (hence segments) stay ascending.
+        self.cell_slots = np.argsort(self.slot_cell, kind="stable")
+        self.cell_slot_offsets = counts_to_offsets(
+            np.bincount(self.slot_cell, minlength=self.num_cells))
+
+        # SL2: |C_eps(l)| descending, SL3: length ascending, ties by
+        # segment id.  The adaptive-SL2 threshold is 1.5x the low median
+        # of |C_eps(l)|.
+        self.sl2_order = rank_entries(self.seg_ids, self.cell_counts,
+                                      descending=True)
+        self.sl2_weight = self.cell_counts[self.sl2_order].astype(np.float64)
+        median = int(np.sort(self.cell_counts)[n // 2]) if n else 0
+        self.sl2_threshold = 1.5 * median
+        self.sl3_order = rank_entries(self.seg_ids, self.lengths,
+                                      descending=False)
+        self.sl3_weight = self.lengths[self.sl3_order]
 
 
 class SignatureBindings:
-    """One keyword signature's cell upper bounds projected onto a layout.
+    """One keyword signature's view of a layout.
 
-    ``cell_ub[c]`` is ``|P_Psi(c)|`` (Algorithm 1, line 2) for the
-    layout's cells (cells the signature never populates stay 0),
-    ``relevant`` its positivity mask, and ``total_ub[d]`` the per-segment
-    sum over ``C_eps(l)`` — the starting value of the
-    incrementally-decremented remaining upper-bound column.
+    ``cell_ub[c]`` is ``|P_Psi(c)|`` (Algorithm 1, line 2) per layout
+    cell (0 where the signature has no posting); ``sl1_cells``/``sl1_ub``
+    are SL1, the cells with a positive bound in (bound descending, cell
+    coordinates ascending) order.  ``rel_offsets`` is a cell-major CSR of
+    the signature's relevant POIs (positions ascending within a cell)
+    with their coordinate and weight columns ``rel_x``/``rel_y``/``rel_w``;
+    ``rel_count`` is its row length, the exact relevant count.  ``uses``
+    counts the runs served (for the cache counters).
     """
 
-    __slots__ = ("layout", "cell_ub", "relevant", "slot_relevant",
-                 "slot_relevant_list", "total_ub", "total_ub_list")
+    __slots__ = ("layout", "cell_ub", "sl1_cells", "sl1_ub", "rel_offsets",
+                 "rel_count", "rel_x", "rel_y", "rel_w", "uses")
 
-    def __init__(self, layout: StoreLayout,
-                 cell_ub: dict["CellCoord", int]) -> None:
+    def __init__(self, layout: StoreLayout, poi_index: "POIGridIndex",
+                 signature: frozenset[str]) -> None:
         self.layout = layout
-        bounds = np.zeros(layout.num_cells, dtype=np.int64)
-        index = layout.cell_index
-        for cell, count in cell_ub.items():
-            pos = index.get(cell)
-            if pos is not None:
-                bounds[pos] = count
-        self.cell_ub = bounds
-        self.relevant = bounds > 0
-        # Slot-major relevance: one list probe per slot in the finalise
-        # walk instead of a cell-index indirection.
-        self.slot_relevant = (self.relevant[layout.slot_cell]
-                              if layout.num_slots
-                              else np.zeros(0, dtype=bool))
-        self.slot_relevant_list = self.slot_relevant.tolist()
-        if layout.num_slots:
-            slot_seg = np.repeat(np.arange(layout.num_segments),
-                                 layout.cell_counts)
-            # bincount sums small integer counts in float64 — exact far
-            # below 2**53 — and unlike add.reduceat has no empty-run
-            # pitfall for segments with zero cells.
-            totals = np.bincount(slot_seg,
-                                 weights=bounds[layout.slot_cell].astype(
-                                     np.float64),
-                                 minlength=layout.num_segments)
-            self.total_ub = totals.astype(np.int64)
-        else:
-            self.total_ub = np.zeros(layout.num_segments, dtype=np.int64)
-        self.total_ub_list = self.total_ub.tolist()
+        lin, bounds = poi_index.relevant_count_upper_bounds(signature)
+        cells = layout.lin_to_cell[lin]
+        keep = cells >= 0
+        cell_ub = np.zeros(layout.num_cells, dtype=np.int64)
+        cell_ub[cells[keep]] = bounds[keep]
+        self.cell_ub = cell_ub
+        positive = np.flatnonzero(cell_ub > 0)
+        self.sl1_cells = positive[rank_entries(positive, cell_ub[positive],
+                                               descending=True)]
+        self.sl1_ub = cell_ub[self.sl1_cells]
+
+        positions = np.flatnonzero(
+            poi_index.relevant_position_mask(signature))
+        pcell = layout.lin_to_cell[poi_index.poi_cell_lin[positions]]
+        keep = pcell >= 0
+        positions, pcell = positions[keep], pcell[keep]
+        positions = positions[np.argsort(pcell, kind="stable")]
+        self.rel_offsets = counts_to_offsets(
+            np.bincount(pcell, minlength=layout.num_cells))
+        self.rel_count = np.diff(self.rel_offsets)
+        pois = poi_index.pois
+        self.rel_x = pois.xs[positions]
+        self.rel_y = pois.ys[positions]
+        self.rel_w = pois.weights[positions]
+        self.uses = 0
+
+
+_FILL_SLOTS = 8192
+"""Slots per kernel call in :meth:`MassSlots.fill`: bounds the row
+arrays of a whole-network pass (the baseline) to a few MiB."""
 
 
 class MassSlots:
-    """Slot-indexed ``(segment, cell)`` mass memo (columnar twin of the
-    session's dict memo, one instance per ``(signature, eps, weighted)``).
+    """Slot-indexed ``(segment, cell)`` mass memo, one instance per
+    ``(signature, eps, weighted)``.
 
-    ``known`` gates reads; writers store the mass *before* flipping the
-    flag so a concurrent reader can never observe an unset value.  Both
-    orders are safe either way — every writer would store the same
-    deterministic float — which is what keeps the session's add-only
-    thread-compatibility contract intact.
-
-    The columns are Python lists: every access is a single-slot probe or
-    a short per-segment slice, where list indexing beats NumPy scalar
-    indexing severalfold (see the module docstring).
+    ``known`` gates reads; :meth:`fill` stores the masses *before*
+    flipping the flags, so a concurrent reader can never observe an unset
+    value (and every writer would store the same float anyway), which
+    keeps the session's add-only thread-compatibility contract intact.
     """
 
     __slots__ = ("mass", "known")
 
     def __init__(self, num_slots: int) -> None:
-        self.mass: list[float] = [0.0] * num_slots
-        self.known: list[bool] = [False] * num_slots
+        self.mass = np.zeros(num_slots, dtype=np.float64)
+        self.known = np.zeros(num_slots, dtype=bool)
 
     def known_count(self) -> int:
-        """Memoised slots (for reports), like ``len()`` of the dict memo."""
-        return sum(self.known)
+        """Memoised slots (for reports)."""
+        return int(np.count_nonzero(self.known))
+
+    def fill(self, slots: np.ndarray, layout: StoreLayout,
+             bind: SignatureBindings, eps: float, weighted: bool,
+             stats=None, count_memo: bool = True) -> None:
+        """Memoise the mass of every slot in ``slots``.
+
+        ``slots`` are distinct slots whose cell holds a relevant POI.
+        Unknown ones are computed with one :func:`slot_masses` call per
+        :data:`_FILL_SLOTS` of them.  ``stats`` (an
+        :class:`~repro.core.results.SOIStats` or compatible) receives the
+        memo and kernel counters; ``count_memo=False`` leaves memo misses
+        uncounted (per-run slots that no later run can hit).
+        """
+        known = self.known[slots]
+        hits = int(np.count_nonzero(known))
+        fresh = slots[~known] if hits else slots
+        if stats is not None:
+            stats.mass_cache_hits += hits
+            if count_memo:
+                stats.mass_cache_misses += int(fresh.shape[0])
+        for begin in range(0, fresh.shape[0], _FILL_SLOTS):
+            part = fresh[begin:begin + _FILL_SLOTS]
+            rows, local = gather_rows(bind.rel_offsets,
+                                      layout.slot_cell[part])
+            seg = layout.slot_seg[part][local]
+            values = slot_masses(
+                bind.rel_x[rows], bind.rel_y[rows], bind.rel_w[rows], local,
+                int(part.shape[0]), layout.ax[seg], layout.ay[seg],
+                layout.bx[seg], layout.by[seg], eps, weighted)
+            if stats is not None:
+                stats.kernel_calls += 1
+                stats.point_evals += int(rows.shape[0])
+            self.mass[part] = values
+            self.known[part] = True
 
 
 _EPOCH_LIMIT = 2**31 - 2
 """Epoch wrap guard (kept at the int32 bound so the columns could be
-re-materialised as int32 arrays without a semantic change)."""
+narrowed to int32 without a semantic change)."""
 
 
 class SegmentStateStore:
@@ -318,41 +340,30 @@ class SegmentStateStore:
     ``begin_run`` bumps ``epoch`` instead of clearing: a segment is
     *seen*/*final* in the current run iff its epoch column matches, and a
     slot is *visited* likewise, so recycling the store across queries is
-    O(1).  ``active`` lists seen segments (dense ids) in first-seen order
-    — the iteration order the refinement phase relies on.
+    O(1).  ``mass`` (partial mass) and ``visited`` (visited slots) are
+    reset when a segment is first seen in a run.
     """
 
-    __slots__ = ("layout", "mass", "remaining_ub", "to_visit", "seen_epoch",
-                 "final_epoch", "visit_epoch", "epoch", "active",
-                 "seen_ids", "final_ids", "runs_served")
+    __slots__ = ("layout", "mass", "visited", "seen_epoch", "final_epoch",
+                 "visit_epoch", "epoch", "runs_served")
 
     def __init__(self, layout: StoreLayout) -> None:
         n = layout.num_segments
         self.layout = layout
-        self.mass: list[float] = [0.0] * n
-        self.remaining_ub: list[int] = [0] * n
-        self.to_visit: list[int] = [0] * n
-        self.seen_epoch: list[int] = [0] * n
-        self.final_epoch: list[int] = [0] * n
-        self.visit_epoch: list[int] = [0] * layout.num_slots
+        self.mass = np.zeros(n, dtype=np.float64)
+        self.visited = np.zeros(n, dtype=np.int64)
+        self.seen_epoch = np.zeros(n, dtype=np.int64)
+        self.final_epoch = np.zeros(n, dtype=np.int64)
+        self.visit_epoch = np.zeros(layout.num_slots, dtype=np.int64)
         self.epoch = 0
-        self.active: list[int] = []
-        # Plain-set mirrors of the epoch columns, keyed by *segment id*:
-        # the source-list is_seen/is_final predicates run in tight scan
-        # loops where a set probe beats a NumPy scalar index.
-        self.seen_ids: set[int] = set()
-        self.final_ids: set[int] = set()
         self.runs_served = 0
 
     def begin_run(self) -> None:
         """Start a fresh run over the recycled columns."""
         if self.epoch >= _EPOCH_LIMIT:
-            self.seen_epoch = [0] * len(self.seen_epoch)
-            self.final_epoch = [0] * len(self.final_epoch)
-            self.visit_epoch = [0] * len(self.visit_epoch)
+            self.seen_epoch[:] = 0
+            self.final_epoch[:] = 0
+            self.visit_epoch[:] = 0
             self.epoch = 0
         self.epoch += 1
-        self.active = []
-        self.seen_ids = set()
-        self.final_ids = set()
         self.runs_served += 1

@@ -7,6 +7,8 @@ able to distinguish configuration mistakes from malformed data.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class of every exception raised by the library."""
@@ -35,6 +37,17 @@ class GridIndexError(ReproError):
 class QueryError(ReproError):
     """A query carries invalid parameters (``k < 1``, negative ``eps``,
     empty keyword set where one is required, ...)."""
+
+
+def check_count(name: str, value) -> None:
+    """Raise :class:`QueryError` unless ``value`` is an integer (``bool``
+    excluded) of at least 1 — the check every ``k`` gets at the boundary."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise QueryError(
+            f"{name} must be an integer, got {type(value).__name__} "
+            f"{value!r}")
+    if value < 1:
+        raise QueryError(f"{name} must be at least 1, got {value}")
 
 
 class SnapshotError(ReproError):

@@ -67,4 +67,39 @@ def counts_to_offsets(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
-__all__ = ["counts_to_offsets", "first_appearance_groups"]
+def gather_rows(
+    offsets: np.ndarray, rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of several CSR rows, concatenated in ``rows`` order.
+
+    Returns ``(positions, local)``: ``positions`` lists
+    ``offsets[r]:offsets[r + 1]`` for each ``r`` in ``rows`` in turn, and
+    ``local[p]`` is the index into ``rows`` that ``positions[p]`` came
+    from.  The vectorised form of
+    ``[(p, i) for i, r in enumerate(rows) for p in range(...)]``.
+    """
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    local = np.repeat(np.arange(rows.shape[0], dtype=np.int64), counts)
+    shift = starts - (np.cumsum(counts) - counts)
+    positions = np.arange(local.shape[0], dtype=np.int64) + shift[local]
+    return positions, local
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an integer array via one sort.
+
+    NumPy's hash-based integer ``unique`` costs ~10x a sort at the few
+    hundred elements a filter block handles.
+    """
+    values = np.sort(values)
+    if values.shape[0] > 1:
+        keep = np.empty(values.shape[0], dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
+
+
+__all__ = ["counts_to_offsets", "first_appearance_groups", "gather_rows",
+           "sorted_unique"]

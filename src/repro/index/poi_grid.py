@@ -73,14 +73,25 @@ class POIGridIndex:
         index._entries = {}
         index._counts = {}
         self._kw_vocab = vocabulary
+        ny = self.grid.ny
+        span = np.int64(self.grid.nx) * np.int64(ny)
+        if len(pois):
+            i, j = self.grid.cells_of_batched(pois.xs, pois.ys)
+            lin = i * np.int64(ny) + j
+        else:
+            lin = np.zeros(0, dtype=np.int64)
+        # Linearised cell of every POI and |P_c| per linearised cell: the
+        # array form of the grid that the query-time bound and relevance
+        # columns are gathered from.
+        self._poi_cell_lin = lin
+        self._cell_sizes = np.bincount(lin, minlength=int(span))
         if not kw_ids:
             self._kw_post_offsets = np.zeros(1, dtype=np.int64)
             self._kw_post_values = np.zeros(0, dtype=np.intp)
+            self._kw_cell_offsets = np.zeros(1, dtype=np.int64)
+            self._kw_cell_lin = np.zeros(0, dtype=np.int64)
+            self._kw_cell_count = np.zeros(0, dtype=np.int64)
             return index
-        ny = self.grid.ny
-        i, j = self.grid.cells_of_batched(pois.xs, pois.ys)
-        lin = i * np.int64(ny) + j
-        span = np.int64(self.grid.nx) * np.int64(ny)
         kw = np.asarray(kw_ids, dtype=np.int64)
         incidence_pos = np.asarray(kw_positions, dtype=np.int64)
         cell_lin = lin[incidence_pos]
@@ -97,6 +108,13 @@ class POIGridIndex:
         pair, counts = np.unique(kw * span + cell_lin, return_counts=True)
         pair_kw = pair // span
         pair_cell = pair % span
+        # ``I[psi][c]`` as a per-keyword CSR over linearised cells (cells
+        # ascending within a keyword: ``pair`` is sorted).
+        self._kw_cell_offsets = np.zeros(len(vocabulary) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pair_kw, minlength=len(vocabulary)),
+                  out=self._kw_cell_offsets[1:])
+        self._kw_cell_lin = pair_cell
+        self._kw_cell_count = counts
         pair_i = pair_cell // ny
         pair_j = pair_cell % ny
         order = np.lexsort((pair_j, pair_i, -counts, pair_kw))
@@ -116,6 +134,11 @@ class POIGridIndex:
             index._entries[name] = entries
             index._counts[name] = {cell: count for cell, count in entries}
         return index
+
+    @property
+    def poi_cell_lin(self) -> np.ndarray:
+        """Linearised cell ``i * ny + j`` of every POI position."""
+        return self._poi_cell_lin
 
     # -- cell contents ------------------------------------------------------
 
@@ -194,6 +217,30 @@ class POIGridIndex:
         summed = sum(self.global_index.count(k, cell)
                      for k in set(keywords))  # repro-lint: disable=REP-D102 (integer counts; sum is order-independent)
         return min(total, summed)
+
+    def relevant_count_upper_bounds(
+        self, keywords: Iterable[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`relevant_count_upper_bound` of every candidate cell at once.
+
+        Returns ``(cell_lin, bounds)``: the linearised cells
+        (``i * ny + j``, ascending) holding at least one keyword posting,
+        and their ``min(|P_c|, sum_psi I[psi][c])``, read from the global
+        index's count columns with one gather per keyword.
+        """
+        offsets = self._kw_cell_offsets
+        kids = sorted({self._kw_vocab[k] for k in keywords
+                       if k in self._kw_vocab})
+        if not kids:
+            return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        lin = np.concatenate([self._kw_cell_lin[offsets[k]:offsets[k + 1]]
+                              for k in kids])
+        count = np.concatenate([
+            self._kw_cell_count[offsets[k]:offsets[k + 1]] for k in kids])
+        cells, inverse = np.unique(lin, return_inverse=True)
+        summed = np.zeros(cells.shape[0], dtype=np.int64)
+        np.add.at(summed, inverse, count)
+        return cells, np.minimum(summed, self._cell_sizes[cells])
 
     def candidate_cells(self, keywords: Iterable[str]) -> set[CellCoord]:
         """Cells that can contain at least one relevant POI."""

@@ -756,6 +756,11 @@ def _metric_direction(path: tuple[str, ...]) -> str | None:
     return None
 
 
+WORKLOAD_KEYS = ("suite", "scale", "eps", "keywords")
+"""Report fields that fix what was measured; :func:`compare_reports`
+refuses to compare reports that differ in any of them."""
+
+
 def compare_reports(
     current: dict, baseline: dict, tolerance: float = 0.2,
     min_delta_s: float = 0.005,
@@ -768,7 +773,8 @@ def compare_reports(
     regress when they drop below ``baseline * (1 - tolerance)``.  Returns
     one dict per regression (empty list = pass).  Raises ``ValueError``
     on mismatched ``schema_version`` — cross-schema numbers are not
-    comparable.
+    comparable — and when the reports measured different workloads
+    (:data:`WORKLOAD_KEYS`: a 4x smaller dataset can hide a 4x slowdown).
 
     Seconds-valued (lower-is-better) metrics must additionally exceed the
     baseline by ``min_delta_s`` absolute: per-point values in a
@@ -787,6 +793,11 @@ def compare_reports(
         raise ValueError(
             f"cannot compare schema_version {cur_schema} against baseline "
             f"schema_version {base_schema}")
+    for key in WORKLOAD_KEYS:
+        if current.get(key) != baseline.get(key):
+            raise ValueError(
+                f"cannot compare {key} {current.get(key)!r} against "
+                f"baseline {key} {baseline.get(key)!r}")
     regressions: list[dict] = []
 
     def walk(cur: object, base: object, path: tuple[str, ...]) -> None:

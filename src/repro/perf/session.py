@@ -2,25 +2,25 @@
 
 A k-SOI parameter sweep (varying ``k``, ``eps`` or the access strategy)
 re-runs the engine with the *same normalised keyword set* many times, and
-every run used to rebuild the same per-cell materialisations from scratch:
-the relevant-POI gather of each visited cell, the per-cell relevant-count
-upper bounds that seed SL1, and — most expensively — the per
-``(segment, cell)`` mass contributions of Definition 1.
+every run would otherwise rebuild the same signature columns from
+scratch: the relevant-POI columns and the relevant-count upper bounds
+that seed SL1, and — most expensively — the per ``(segment, cell)`` mass
+contributions of Definition 1.
 
-A :class:`QuerySession` owns exactly those three caches for one keyword
+A :class:`QuerySession` owns exactly those caches for one keyword
 signature:
 
-* the :class:`~repro.core.interest.RelevantCellCache` (positions and
-  coordinate arrays of each cell's relevant POIs);
-* the per-cell relevant-count aggregate ``|P_Psi(c)|`` (Algorithm 1,
-  line 2), which depends only on the keywords — not on ``k``/``eps``;
+* per-``eps`` :class:`~repro.core.state_store.SignatureBindings` (the
+  ``|P_Psi(c)|`` bounds of Algorithm 1, line 2, the SL1 order and the
+  cell-major relevant-POI columns);
 * per-``(eps, weighted)`` mass memos over the store layout's
   ``(segment, cell)`` slots (:class:`~repro.core.state_store.MassSlots`).
-  A cached mass is the bitwise-exact float the kernel would recompute, so
-  serving it cannot change any downstream comparison or bound.
+  A cached mass is the exact float the kernel would recompute, so serving
+  it cannot change any downstream comparison or bound;
+* a :class:`~repro.core.interest.RelevantCellCache` for single-segment
+  evaluations (:meth:`~repro.core.soi.SOIEngine.segment_exact_interest`).
 
-It also pools the per-signature store bindings and the recycled per-run
-scratch stores of :mod:`repro.core.state_store`.
+The per-run scratch stores are pooled on the engine, not here.
 
 Sessions live in a :class:`QuerySessionPool` with an LRU bound on retained
 signatures.  The pool must be **explicitly invalidated when the indexes it
@@ -40,16 +40,11 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.core.interest import RelevantCellCache
-from repro.core.state_store import (
-    MassSlots,
-    SegmentStateStore,
-    SignatureBindings,
-)
+from repro.core.state_store import MassSlots, SignatureBindings
 from repro.obs.metrics import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.state_store import StoreLayout
-    from repro.index.grid import CellCoord
     from repro.index.poi_grid import POIGridIndex
 
 DEFAULT_MAX_SESSIONS = 8
@@ -62,9 +57,7 @@ class QuerySession:
     """All cached per-query materialisations for one keyword signature."""
 
     __slots__ = ("signature", "generation", "cache", "_poi_index",
-                 "_cell_ub", "_sl1_entries", "queries_served",
-                 "_store_lock", "_bindings", "_mass_slots", "_state_stores",
-                 "store_reuses")
+                 "queries_served", "_store_lock", "_bindings", "_mass_slots")
 
     def __init__(self, poi_index: "POIGridIndex",
                  signature: frozenset[str], generation: int = 0) -> None:
@@ -72,55 +65,20 @@ class QuerySession:
         self.generation = generation
         self._poi_index = poi_index
         self.cache = RelevantCellCache(poi_index, signature)
-        self._cell_ub: dict["CellCoord", int] | None = None
-        self._sl1_entries: tuple[tuple["CellCoord", int], ...] | None = None
         self.queries_served = 0
-        # Store materialisations: per-eps signature bindings, per
-        # (eps, weighted) slot memos, and the recycled scratch stores.
-        # Unlike the add-only caches above, the scratch stores are
-        # *mutated* per run, so the free-list hands each out exclusively;
-        # the lock serialises all three maps.
+        # Per-eps signature bindings and per (eps, weighted) slot memos;
+        # the lock serialises both maps.
         self._store_lock = threading.Lock()
         self._bindings: dict[float, SignatureBindings] = {}
         self._mass_slots: dict[tuple[float, bool], MassSlots] = {}
-        self._state_stores: dict[float, list[SegmentStateStore]] = {}
-        self.store_reuses = 0
-
-    def cell_upper_bounds(self) -> dict["CellCoord", int]:
-        """``|P_Psi(c)| > 0`` per candidate cell (Algorithm 1, line 2).
-
-        Computed once per signature; every sweep configuration seeds its
-        SL1 from this aggregate instead of re-scanning the global index.
-        """
-        if self._cell_ub is None:
-            bounds: dict["CellCoord", int] = {}
-            for cell in self._poi_index.candidate_cells(self.signature):
-                ub = self._poi_index.relevant_count_upper_bound(
-                    cell, self.signature)
-                if ub > 0:
-                    bounds[cell] = ub
-            self._cell_ub = bounds
-        return self._cell_ub
-
-    def sl1_entries(self) -> tuple[tuple["CellCoord", int], ...]:
-        """The SL1 entries presorted (count desc, then cell coordinates).
-
-        The order depends only on the keyword signature, so warm queries
-        hand the shared tuple straight to
-        :class:`~repro.core.source_lists.CellSourceList` without re-sorting.
-        """
-        if self._sl1_entries is None:
-            self._sl1_entries = tuple(sorted(
-                self.cell_upper_bounds().items(),
-                key=lambda e: (-e[1], e[0])))
-        return self._sl1_entries
 
     def store_bindings(self, layout: "StoreLayout") -> SignatureBindings:
-        """This signature's cell upper bounds projected onto ``layout``."""
+        """This signature's columns over ``layout`` (built once per eps)."""
         with self._store_lock:
             bindings = self._bindings.get(layout.eps)
         if bindings is None:
-            built = SignatureBindings(layout, self.cell_upper_bounds())
+            built = SignatureBindings(layout, self._poi_index,
+                                      self.signature)
             with self._store_lock:
                 # A concurrent builder may have won; both built the same
                 # deterministic arrays, keep whichever landed first.
@@ -137,28 +95,6 @@ class QuerySession:
                 slots = MassSlots(layout.num_slots)
                 self._mass_slots[key] = slots
         return slots
-
-    def acquire_state_store(
-            self, layout: "StoreLayout") -> tuple[SegmentStateStore, bool]:
-        """A scratch store for one run; True when recycled from the pool.
-
-        The store is handed out exclusively — the caller must return it
-        via :meth:`release_state_store` when (and only when) the run
-        completed normally.
-        """
-        with self._store_lock:
-            pool = self._state_stores.get(layout.eps)
-            store = pool.pop() if pool else None
-        if store is None:
-            return SegmentStateStore(layout), False
-        self.store_reuses += 1
-        REGISTRY.inc("session.store_reuse_hits")
-        return store, True
-
-    def release_state_store(self, store: SegmentStateStore) -> None:
-        """Return a scratch store to the free-list for the next run."""
-        with self._store_lock:
-            self._state_stores.setdefault(store.layout.eps, []).append(store)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"QuerySession(signature={sorted(self.signature)!r}, "

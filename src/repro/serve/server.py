@@ -172,10 +172,16 @@ def _serve_request_impl(
     session=None,
 ):
     if isinstance(request, SOIRequest):
+        try:
+            strategy = AccessStrategy(request.strategy)
+        except ValueError:
+            raise QueryError(
+                f"unknown access strategy {request.strategy!r}; expected "
+                f"one of {', '.join(s.value for s in AccessStrategy)}"
+            ) from None
         return engine.top_k(
             request.keywords, request.k, eps=request.eps,
-            strategy=AccessStrategy(request.strategy),
-            weighted=request.weighted, session=session)
+            strategy=strategy, weighted=request.weighted, session=session)
     if isinstance(request, DescribeRequest):
         if photos is None:
             raise QueryError(

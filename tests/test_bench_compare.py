@@ -75,6 +75,21 @@ def test_compare_rejects_schema_mismatch():
         bench.compare_reports({}, serve_run(1.0, 1.0))
 
 
+@pytest.mark.parametrize("key,other", [
+    ("scale", 0.25), ("eps", 0.001), ("suite", "describe"),
+    ("keywords", ["food"])])
+def test_compare_rejects_workload_mismatch(key, other):
+    """Reports of different datasets or queries are not comparable: a 4x
+    smaller dataset would hide a 4x slowdown."""
+    base = {"schema_version": 3, "suite": "soi", "scale": 1.0,
+            "eps": 0.0005, "keywords": ["religion", "food"],
+            "cities": {"vienna": {"soi_median_s": 1.0}}}
+    current = dict(base, cities={"vienna": {"soi_median_s": 0.25}})
+    assert bench.compare_reports(current, base) == []
+    with pytest.raises(ValueError, match=key):
+        bench.compare_reports(dict(current, **{key: other}), base)
+
+
 def test_compare_accepts_v2_baseline_against_v3_current():
     """Schemas 3/4 only add obs sections; v2 baselines stay comparable."""
     assert bench.COMPARABLE_SCHEMAS == frozenset({2, 3, 4, 5})

@@ -137,6 +137,25 @@ class TestBench:
                      "--out", str(tmp_path),
                      "--check-against", str(baseline)]) == 2
 
+    def test_check_against_rejects_other_scale(self, tmp_path, capsys):
+        import json
+
+        baseline = tmp_path / "baseline" / "BENCH_soi.json"
+        assert main(["bench", "--suite", "soi", "--cities", "vienna",
+                     "--repeats", "1", "--scale", "0.05",
+                     "--out", str(baseline.parent)]) == 0
+        report = json.loads(baseline.read_text())
+        assert report["scale"] == 0.05
+        report["scale"] = 1.0
+        baseline.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["bench", "--suite", "soi", "--cities", "vienna",
+                     "--repeats", "1", "--scale", "0.05",
+                     "--out", str(tmp_path),
+                     "--check-against", str(baseline)]) == 2
+        out = capsys.readouterr().out
+        assert "cannot compare scale 0.05" in out and "OK" not in out
+
     def test_mode_soi_alias_and_trace_out(self, tmp_path, capsys):
         import json
 

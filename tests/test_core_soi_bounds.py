@@ -3,14 +3,15 @@
 Lemma 1 justifies the termination test ``LBk >= UB``; these tests verify
 the two bound computations *during* a run, not just the final answer:
 
-* at every filtering step, ``UB`` must dominate the true interest of
-  every still-unseen segment;
-* at every filtering step, ``LBk`` must lower-bound the true interest of
+* at every block boundary of the filter, ``UB`` must dominate the true
+  interest of every still-unseen segment;
+* at every block boundary, ``LBk`` must lower-bound the true interest of
   the k-th best street.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +42,31 @@ def _kth_street_interest(network, seg_interests, k):
     return values[k - 1] if len(values) >= k else 0.0
 
 
+class _BoundaryCheckedRun(soi_module._SOIRun):
+    """Runs the real block-synchronous filter, asserting the bounds at
+    every block boundary (each termination check is one)."""
+
+    truth: dict[int, float] = {}
+    kth = 0.0
+
+    def _compute_ub(self) -> float:
+        ub = super()._compute_ub()
+        lbk = self._compute_lbk()
+        store, layout = self.store, self.layout
+        seen = store.seen_epoch == store.epoch
+        # UB dominates every unseen segment's true interest.
+        for dense, segment in enumerate(layout.segments):
+            if not seen[dense]:
+                value = self.truth[segment.id]
+                assert value <= ub + 1e-9, (
+                    f"unseen segment {segment.id} has interest {value} "
+                    f"> UB {ub}")
+        # LBk never exceeds the true k-th street interest.
+        assert lbk <= self.kth + 1e-9
+        self.boundaries += 1
+        return ub
+
+
 @given(network=random_networks(), pois=random_pois(min_size=3, max_size=20),
        strategy=st.sampled_from(list(AccessStrategy)))
 @settings(max_examples=25)
@@ -49,47 +75,15 @@ def test_bounds_sound_at_every_step(network, pois, strategy):
     eps = 0.001
     k = 3
     truth = _true_segment_interests(network, pois, keywords, eps)
-    kth = _kth_street_interest(network, truth, k)
 
     engine = SOIEngine(network, pois, cell_size=0.0015)
-    run = soi_module._SOIRun(engine, keywords, k, eps, strategy,
-                             True, False)
-    run._build_source_lists()
-
-    cycle = strategy.cycle
-    position = 0
-    steps = 0
-    while steps < 500:
-        ub = run._compute_ub()
-        run._lbk_dirty = True
-        run.stats.iterations = 0  # force a real LBk recomputation
-        lbk = run._compute_lbk()
-
-        # UB dominates every unseen segment's true interest.
-        for sid, value in truth.items():
-            if sid not in run.store.seen_ids:
-                assert value <= ub + 1e-9, (
-                    f"unseen segment {sid} has interest {value} > UB {ub}")
-        # LBk never exceeds the true k-th street interest.
-        assert lbk <= kth + 1e-9
-
-        if lbk >= ub:
-            break
-        accessed = False
-        for offset in range(len(cycle)):
-            name = cycle[(position + offset) % len(cycle)]
-            if run._access(name):
-                position = (position + offset + 1) % len(cycle)
-                accessed = True
-                break
-        if not accessed:
-            for name in ("SL1", "SL2", "SL3"):
-                if run._access(name):
-                    accessed = True
-                    break
-        if not accessed:
-            break
-        steps += 1
+    run = _BoundaryCheckedRun(engine, keywords, k, eps, strategy,
+                              True, False)
+    run.truth = truth
+    run.kth = _kth_street_interest(network, truth, k)
+    run.boundaries = 0
+    run.execute()
+    assert run.boundaries == run.stats.termination_checks >= 1
 
 
 @given(network=random_networks(), pois=random_pois(min_size=1, max_size=20))
@@ -103,12 +97,16 @@ def test_partial_masses_never_exceed_truth(network, pois):
     run = soi_module._SOIRun(engine, keywords, 2, eps,
                              AccessStrategy.ALTERNATE, True, False)
     run._build_source_lists()
-    # run a few cell accesses only, leaving many segments partial
+    # apply a few blocks of cell accesses only, leaving many segments
+    # partial
+    no_segments = np.zeros(0, dtype=np.int64)
     for _ in range(3):
-        if not run._access("SL1"):
+        cells = run.sl1.pop_block(2)
+        if not cells.shape[0]:
             break
-    store, layout = run.store, run._layout
-    for dense in store.active:
+        run._apply_block(cells, no_segments)
+    store, layout = run.store, run.layout
+    for dense in np.flatnonzero(store.seen_epoch == store.epoch).tolist():
         segment = layout.segments[dense]
         true_mass = segment_mass_bruteforce(segment, pois, keywords, eps)
         assert store.mass[dense] <= true_mass + 1e-9

@@ -104,6 +104,41 @@ class TestParameterAbuse:
                 serve_request(small_engine, small_city.photos,
                               DescribeRequest(street_id, 3, eps=eps))
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None, True])
+    def test_non_integer_k_rejected_at_the_boundary(self, small_city,
+                                                    small_engine, k):
+        """A k that is not an integer is a QueryError for both request
+        kinds: no raw TypeError from a slice, no silently rounded k."""
+        street_id = small_engine.top_k(["shop"], k=1)[0].street_id
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QueryError, match="k must be an integer"):
+                serve_request(small_engine, small_city.photos,
+                              SOIRequest(("shop",), k))
+            with pytest.raises(QueryError, match="k must be an integer"):
+                serve_request(small_engine, small_city.photos,
+                              DescribeRequest(street_id, k))
+
+    def test_unknown_strategy_rejected_at_the_boundary(self, small_city,
+                                                       small_engine):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QueryError, match="strategy 'bogus'"):
+                serve_request(small_engine, small_city.photos,
+                              SOIRequest(("shop",), 3, strategy="bogus"))
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, -math.inf, 0.0,
+                                     -0.001])
+    def test_describe_bad_rho_rejected(self, small_city, small_engine, rho):
+        """rho must be positive and finite: inf used to return the same
+        photo twice in one summary, NaN a raw ValueError."""
+        street_id = small_engine.top_k(["shop"], k=1)[0].street_id
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QueryError, match="rho"):
+                serve_request(small_engine, small_city.photos,
+                              DescribeRequest(street_id, 3, rho=rho))
+
     def test_describer_rejects_bad_parameters(self, cross_network):
         main = cross_network.street_by_name("Main Street")
         photos = PhotoSet([Photo(0, 0.1, 0.0, frozenset({"x"}))])

@@ -422,10 +422,37 @@ def test_traced_soi_query_covers_phases_on_preset(preset):
 
     names = {span.name for span in subtree}
     assert {"soi.build_source_lists", "soi.filter", "soi.refine"} <= names
-    assert "soi.mass_kernel" in names or "soi.pull" in names, \
+    assert "soi.pull" in names, \
         f"{preset}: no work spans under the query root"
     # Self-times telescope: they must account for >= 80% of the traced
     # wall time of the query (exactly 100% up to clock granularity).
     selfs = self_times_ns(spans)
     covered = sum(selfs[span.span_id] for span in subtree)
     assert covered >= 0.8 * root.duration_ns
+
+
+@pytest.mark.parametrize("preset", ["vienna", "london"])
+def test_traced_soi_query_emits_one_pull_span_per_block(preset):
+    """Per-pull detail lives in the counters: a traced query emits one
+    ``soi.pull`` span per filter block, so its span count is bounded by
+    its termination checks plus the phase spans, and tracing never
+    changes the payload."""
+    city = build_preset(preset, scale=0.25)
+    engine = SOIEngine(city.network, city.pois)
+    for size in (1, 3):
+        keywords = list(PAPER_QUERY_KEYWORDS[:size])
+        plain = engine.top_k(keywords, k=10, use_session=False)
+        mark = TRACER.mark()
+        with tracing_scope(True):
+            traced, stats = engine.top_k_with_stats(keywords, k=10,
+                                                    use_session=False)
+        spans = TRACER.spans_since(mark)
+        pulls = [s for s in spans if s.name == "soi.pull"]
+        assert traced == plain
+        assert stats.termination_checks - 1 <= len(pulls) \
+            <= stats.termination_checks
+        assert len(spans) <= stats.termination_checks + 4
+        assert sum(s.attrs["block"] for s in pulls) == stats.iterations
+        for span in pulls:
+            assert set(span.attrs["source"].split("+")) <= {
+                "SL1", "SL2", "SL3"}

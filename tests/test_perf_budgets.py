@@ -59,7 +59,7 @@ class TestSOIBudgets:
         _res, warm = engine.top_k_with_stats(KEYWORDS, k=K)
         assert warm.session_reused
         assert warm.kernel_calls == 0
-        assert warm.scalar_point_evals == 0
+        assert warm.point_evals == 0
         assert warm.mass_cache_hits > 0
         assert warm.mass_cache_misses == 0
 

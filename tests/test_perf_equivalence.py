@@ -1,6 +1,6 @@
 """Bit-identity of the performance layer against the plain paths.
 
-The optimised paths — the batched mass kernel, session-served SOI queries
+The optimised paths — the slot-mass kernel, session-served SOI queries
 and the incremental greedy MMR evaluator — must produce results *bitwise*
 equal to the scalar/uncached/naive implementations.  Every property here
 asserts exact ``==`` on floats, over random Hypothesis cities, and the
@@ -10,6 +10,7 @@ contracts enabled (``REPRO_CHECK=1`` semantics).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,16 +19,14 @@ from repro.core.describe.greedy import GreedyDescriber, _validate
 from repro.core.describe.measures import MMREvaluator, mmr_value
 from repro.core.describe.profile import StreetProfile
 from repro.core.describe.st_rel_div import STRelDivDescriber
-from repro.core.interest import (
-    RelevantCellCache,
-    segment_mass,
-    segment_mass_batched_slots,
-    segment_mass_in_cell,
-)
+from repro.core.interest import RelevantCellCache, segment_mass
+from repro.core.results import SOIStats
 from repro.core.soi import SOIEngine
 from repro.core.soi_baseline import BaselineSOI
+from repro.core.state_store import MassSlots, SignatureBindings
 from repro.data.keywords import KeywordFrequencyVector
 from repro.geometry.bbox import BBox
+from repro.geometry.distance import point_segment_distance
 
 from tests.conftest import (
     KEYWORD_POOL,
@@ -55,53 +54,71 @@ def _maybe_contracts(request):
 queries = st.sets(st.sampled_from(KEYWORD_POOL), min_size=1, max_size=3)
 
 
-# -- batched kernel ----------------------------------------------------------
+# -- slot-mass kernel --------------------------------------------------------
+
+def _scalar_cell_mass(segment, cache, cell, weighted):
+    """One cell's contribution with the scalar kernel, left to right."""
+    _positions, xs, ys, weights = cache.get(cell)
+    total = 0.0
+    for x, y, w in zip(xs.tolist(), ys.tolist(), weights.tolist()):
+        if point_segment_distance(x, y, segment.ax, segment.ay,
+                                  segment.bx, segment.by) <= EPS:
+            total += w if weighted else 1.0
+    return total
+
 
 @given(network=random_networks(), pois=random_pois(min_size=1),
        keywords=queries)
 def test_batched_mass_equals_per_cell_sum(network, pois, keywords):
+    """One row-kernel call over a segment's cells equals evaluating each
+    cell alone with the scalar kernel and summing in cell order."""
     engine = SOIEngine(network, pois)
     query = frozenset(keywords)
+    cache = RelevantCellCache(engine.poi_index, query)
     for segment in network.iter_segments():
         cells = engine.cell_maps.cells_of_segment(segment.id, EPS)
         for weighted in (False, True):
-            scalar_cache = RelevantCellCache(engine.poi_index, query)
-            per_cell = sum(
-                segment_mass_in_cell(segment, cell, scalar_cache, EPS,
-                                     weighted)
-                for cell in cells)
-            batch_cache = RelevantCellCache(engine.poi_index, query)
+            per_cell = 0.0
+            for cell in cells:
+                per_cell += _scalar_cell_mass(segment, cache, cell, weighted)
             batched = segment_mass(segment, engine.poi_index,
                                    engine.cell_maps, query, EPS, weighted,
-                                   cache=batch_cache)
+                                   cache=cache)
             assert batched == per_cell
 
 
 @given(network=random_networks(), pois=random_pois(min_size=1),
-       keywords=queries)
-def test_batched_mass_cache_stores_exact_values(network, pois, keywords):
+       keywords=queries, weighted=st.booleans())
+def test_batched_mass_cache_stores_exact_values(network, pois, keywords,
+                                                weighted):
     """Every memoised (segment, cell) slot mass equals a fresh per-cell
-    value, and a rerun over the filled slots returns the same total."""
+    value, and a refill over the known slots changes nothing."""
     engine = SOIEngine(network, pois)
     query = frozenset(keywords)
     cache = RelevantCellCache(engine.poi_index, query)
-    fresh_cache = RelevantCellCache(engine.poi_index, query)
     layout = engine.store_layout(EPS)
-    slot_mass = [0.0] * layout.num_slots
-    slot_known = [False] * layout.num_slots
-    for dense, segment in enumerate(layout.segments[:4]):
-        slots = range(int(layout.slot_offsets[dense]),
-                      int(layout.slot_offsets[dense + 1]))
-        cells = [layout.slot_cells[slot] for slot in slots]
-        total = segment_mass_batched_slots(
-            segment, cells, slots, slot_mass, slot_known, cache, EPS)
-        for slot, cell in zip(slots, cells):
-            assert slot_known[slot]
-            assert slot_mass[slot] == segment_mass_in_cell(
-                segment, cell, fresh_cache, EPS, False)
-        assert segment_mass_batched_slots(
-            segment, cells, slots, slot_mass, slot_known, cache,
-            EPS) == total
+    bind = SignatureBindings(layout, engine.poi_index, query)
+    memo = MassSlots(layout.num_slots)
+    relevant = np.flatnonzero(bind.rel_count[layout.slot_cell] > 0)
+    memo.fill(relevant, layout, bind, EPS, weighted)
+    assert memo.known_count() == relevant.shape[0]
+    for slot in relevant.tolist():
+        segment = layout.segments[int(layout.slot_seg[slot])]
+        cell = _layout_cell(layout, engine, slot)
+        assert memo.mass[slot] == _scalar_cell_mass(segment, cache, cell,
+                                                    weighted)
+    before = memo.mass.copy()
+    stats = SOIStats()
+    memo.fill(relevant, layout, bind, EPS, weighted, stats)
+    assert stats.mass_cache_hits == relevant.shape[0]
+    assert stats.kernel_calls == 0
+    assert np.array_equal(memo.mass, before)
+
+
+def _layout_cell(layout, engine, slot):
+    lin = int(layout.cell_lin[int(layout.slot_cell[slot])])
+    ny = engine.poi_index.grid.ny
+    return (lin // ny, lin % ny)
 
 
 # -- session-served SOI ------------------------------------------------------

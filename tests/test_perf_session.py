@@ -19,9 +19,12 @@ def engine(small_city):
 class TestQuerySession:
     def test_cell_upper_bounds_cached_and_positive(self, engine):
         session = engine.session_for(["shop"])
-        bounds = session.cell_upper_bounds()
-        assert bounds and all(ub > 0 for ub in bounds.values())
-        assert session.cell_upper_bounds() is bounds
+        layout = engine.store_layout(0.0005)
+        bindings = session.store_bindings(layout)
+        assert bindings.sl1_cells.shape[0]
+        assert (bindings.sl1_ub > 0).all()
+        assert (bindings.cell_ub[bindings.sl1_cells] == bindings.sl1_ub).all()
+        assert session.store_bindings(layout) is bindings
 
     def test_mass_cache_keyed_by_eps_and_weighted(self, engine):
         session = engine.session_for(["shop"])

@@ -110,17 +110,19 @@ def test_topk_threshold_compaction_stays_exact():
     assert len(topk._heap) <= 4 * k + 64  # the compaction bound held
 
 
-# -- session-pooled store reuse ----------------------------------------------
+# -- engine-pooled store reuse -----------------------------------------------
 
-def test_warm_session_reuses_state_store(small_engine):
-    engine = small_engine
-    engine.invalidate_sessions()
+def test_warm_session_reuses_state_store(small_city):
+    """Scratch stores are pooled on the engine: the second query reuses
+    the first one's, and so does a query on a fresh session."""
+    engine = SOIEngine(small_city.network, small_city.pois)
     _res, cold = engine.top_k_with_stats(["food"], k=5, eps=EPS)
     _res, warm = engine.top_k_with_stats(["food"], k=5, eps=EPS)
     assert not cold.store_reused
     assert warm.store_reused
-    session = engine.sessions.get(frozenset({"food"}))
-    assert session is not None and session.store_reuses >= 1
+    engine.invalidate_sessions()
+    _res, other = engine.top_k_with_stats(["shop"], k=5, eps=EPS)
+    assert other.store_reused and not other.session_reused
 
 
 # -- counter budgets ---------------------------------------------------------
@@ -129,8 +131,8 @@ def test_warm_session_reuses_state_store(small_engine):
        keywords=queries, k=st.integers(min_value=1, max_value=5))
 @settings(max_examples=25)
 def test_termination_check_budget(network, pois, keywords, k):
-    """The LBk >= UB check runs at most once per _CHECK_EVERY iterations
-    (plus the final top-of-loop check), never per-iteration."""
+    """The LBk >= UB check runs once per filter block (plus the check that
+    stops), and blocks hold at least four pulls, so never per-iteration."""
     engine = SOIEngine(network, pois)
     _res, stats = engine.top_k_with_stats(keywords, k=k, eps=EPS)
     assert stats.termination_checks <= stats.iterations // 4 + 2
